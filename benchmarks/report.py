@@ -72,8 +72,9 @@ RPC_MIN_SPEEDUP = 2.0
 #: Aggregate-throughput floor for the parallel replay core.  The
 #: absolute target (and the 5x-serial variant) only express themselves
 #: on a multi-core box, so the enforced gate degrades to a
-#: machine-robust pair on small/loaded runners: the columnar loop must
-#: beat the per-event loop by ``PARALLEL_COLUMNAR_MIN_SPEEDUP`` and
+#: machine-robust pair on small/loaded runners: the batched columnar
+#: loop must beat the per-event reference interpreter (the "serial"
+#: rate) by ``PARALLEL_COLUMNAR_MIN_SPEEDUP`` and
 #: sharding must not *lose* throughput against single-process columnar
 #: replay (``PARALLEL_RETENTION`` of it, covering pool-spawn noise).
 PARALLEL_FLOOR_EPS = 5_000_000.0
@@ -608,7 +609,7 @@ def bench_faults() -> dict:
     results = {}
     for app in ("dia", "javanote"):
         trace = cached_trace(app, MEMORY_WORKLOADS[app])
-        events = len(trace.events)
+        events = len(trace)
         offload_at = max(1, events // 10)
         nodes = _offloadable_nodes(trace)
         config = dc_replace(
@@ -716,15 +717,15 @@ def bench_mobility(quick: bool = False) -> dict:
       roaming.
 
     Gates: handoff strictly beats both alternatives, stays within
-    ``MOBILITY_MAX_SLOWDOWN`` of static, serial/columnar/sharded
-    replay fingerprints agree on the handoff run, a rerun is
-    bit-identical, and the disconnection run completes.
+    ``MOBILITY_MAX_SLOWDOWN`` of static, the per-event reference
+    interpreter, the batched loop and a sharded replay agree on the
+    handoff run's fingerprint, a rerun is bit-identical, and the
+    disconnection run completes.
     """
-    from repro.emulator import (
-        ColumnarTrace, MobilityConfig, ShardedReplayer, replicate,
-    )
+    from repro.emulator import MobilityConfig, ShardedReplayer, replicate
     from repro.emulator.replay import EmulatorConfig, TraceReplayer
     from repro.net import WAVELAN_WAN_ROAM, LinkProfile
+    from tests.emulator.reference_replay import ReferenceReplayer
 
     trace = roaming_trace(sweeps=40 if quick else 80)
     roam = LinkProfile.parse(
@@ -748,15 +749,13 @@ def bench_mobility(quick: bool = False) -> dict:
     ).run()
 
     # Parity: the handoff run must fingerprint identically through the
-    # serial loop, the columnar batched loop, and a sharded replay.
-    columnar = TraceReplayer(
-        ColumnarTrace.from_trace(trace), handoff_config
-    ).run()
-    shards = replicate(ColumnarTrace.from_trace(trace), handoff_config,
-                       clients=2)
+    # per-event reference interpreter, the batched loop, and a sharded
+    # replay.
+    reference = ReferenceReplayer(trace, handoff_config).run()
+    shards = replicate(trace, handoff_config, clients=2)
     sharded = ShardedReplayer(shards, workers=1).run()
     sharded_fps = {c.result.fingerprint() for c in sharded.clients}
-    parity = (columnar.fingerprint() == handoff.fingerprint()
+    parity = (reference.fingerprint() == handoff.fingerprint()
               and sharded_fps == {handoff.fingerprint()})
     rerun = TraceReplayer(trace, handoff_config).run()
 
@@ -1012,9 +1011,10 @@ def parallel_floor_verdict(
 def bench_replay_parallel(rounds: int, serial_eps: float) -> dict:
     """Columnar + sharded replay throughput, with the floor gate.
 
-    Replays dia through the columnar batched loop (single process) and
-    through a sharded fleet (one shard per emulated client), checks the
-    three paths' fingerprints agree bit-for-bit, and evaluates the
+    Replays dia through the per-event reference interpreter (the
+    "serial" rate), the batched columnar loop (single process) and a
+    sharded fleet (one shard per emulated client), checks the three
+    paths' fingerprints agree bit-for-bit, and evaluates the
     aggregate-throughput floor:
 
     * absolute: >= ``PARALLEL_FLOOR_EPS`` aggregate events/s
@@ -1027,22 +1027,28 @@ def bench_replay_parallel(rounds: int, serial_eps: float) -> dict:
     """
     import os
 
-    from repro.emulator import ColumnarTrace, ShardedReplayer, replicate
+    from repro.emulator import ShardedReplayer, replicate
+    from tests.emulator.reference_replay import ReferenceReplayer
 
-    trace = cached_trace("dia", MEMORY_WORKLOADS["dia"])
-    columnar = ColumnarTrace.from_trace(trace)
+    columnar = cached_trace("dia", MEMORY_WORKLOADS["dia"])
     config = memory_emulator_config()
-    events = len(trace)
+    events = len(columnar)
 
-    serial_emulator = Emulator(trace)
-    serial_fp = serial_emulator.replay(config).fingerprint()
+    # The per-event loop replays event objects built once up front, so
+    # its rate is the loop's own, not the columns' decode.
+    rows = columnar.to_trace()
+
+    def serial_replay():
+        return ReferenceReplayer(rows, config).run()
+
+    serial_fp = serial_replay().fingerprint()
     columnar_emulator = Emulator(columnar)
     columnar_fp = columnar_emulator.replay(config).fingerprint()
     # The serial rate is re-measured here, back-to-back with the
     # columnar rate, so the speedup compares like with like — the
     # ``replay`` section's number was taken under a different heap and
     # load (heavy graph benches run in between).
-    serial_stats = _time(lambda: serial_emulator.replay(config), rounds)
+    serial_stats = _time(serial_replay, rounds)
     serial_local_eps = events / serial_stats["mean_s"]
     col_stats = _time(lambda: columnar_emulator.replay(config), rounds)
     columnar_eps = events / col_stats["mean_s"]
@@ -1093,17 +1099,14 @@ def bench_fleet(quick: bool = False) -> dict:
       bit-identical when the drive-side replay runs on one worker and
       on several (virtual time never depends on host parallelism).
     """
-    from repro.emulator import (
-        ColumnarTrace, FleetConfig, FleetEmulator, replicate,
-    )
+    from repro.emulator import FleetConfig, FleetEmulator, replicate
 
     trace = cached_trace("dia", MEMORY_WORKLOADS["dia"])
-    columnar = ColumnarTrace.from_trace(trace)
     config = memory_emulator_config()
     scales = QUICK_FLEET_SCALES if quick else FLEET_SCALES
 
     def run(clients: int, surrogates: int, workers: int):
-        shards = replicate(columnar, config, clients=clients)
+        shards = replicate(trace, config, clients=clients)
         fleet_config = FleetConfig(surrogates=surrogates)
         return FleetEmulator(shards, fleet_config, workers=workers).run()
 

@@ -80,7 +80,7 @@ DESCRIPTIONS = {
 
 def _record(app_name: str, path: str) -> int:
     from .apps import ALL_APPLICATIONS
-    from .emulator import record_application
+    from .emulator import record_application, save_any
 
     by_name = {cls().name: cls for cls in ALL_APPLICATIONS}
     if app_name not in by_name:
@@ -88,7 +88,7 @@ def _record(app_name: str, path: str) -> int:
               f"{', '.join(sorted(by_name))}", file=sys.stderr)
         return 2
     trace = record_application(by_name[app_name]())
-    trace.save(path)
+    save_any(trace, path)
     print(f"recorded {len(trace)} events from {app_name!r} to {path}")
     return 0
 
@@ -115,7 +115,7 @@ def _load_trace(source: str):
 
 def _convert(src: str, dst: str) -> int:
     """``trace convert``: JSONL <-> columnar, by destination suffix."""
-    from .emulator import ColumnarTrace, write_ctrace
+    from .emulator import save_any
     from .errors import TraceFormatError
 
     try:
@@ -123,14 +123,7 @@ def _convert(src: str, dst: str) -> int:
     except (FileNotFoundError, TraceFormatError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    if dst.endswith(".ctrace"):
-        write_ctrace(trace, dst)
-        kind = "columnar"
-    else:
-        if isinstance(trace, ColumnarTrace):
-            trace = trace.to_trace()
-        trace.save(dst)
-        kind = "jsonl"
+    kind = save_any(trace, dst)
     print(f"converted {len(trace)} events of {trace.app_name!r} "
           f"to {kind} at {dst}")
     return 0
@@ -138,12 +131,11 @@ def _convert(src: str, dst: str) -> int:
 
 def _replay(source: str, heap_mb: float, offload: bool,
             faults: str = None, workers: int = 1, clients: int = 1,
-            trace_format: str = "auto", link_profile: str = None,
-            mobility: str = "handoff") -> int:
+            link_profile: str = None, mobility: str = "handoff") -> int:
     from .config import DeviceProfile
     from .emulator import (
-        ColumnarTrace, Emulator, EmulatorConfig, MobilityConfig,
-        ShardedReplayer, replicate,
+        Emulator, EmulatorConfig, MobilityConfig, ShardedReplayer,
+        replicate,
     )
     from .net.faults import FaultSpec
     from .net.mobility import LinkProfile
@@ -154,10 +146,6 @@ def _replay(source: str, heap_mb: float, offload: bool,
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if trace_format == "ctrace":
-        trace = ColumnarTrace.from_trace(trace)
-    elif trace_format == "jsonl" and isinstance(trace, ColumnarTrace):
-        trace = trace.to_trace()
     config = EmulatorConfig(
         client=DeviceProfile("client-dev", cpu_speed=1.0,
                              heap_capacity=int(heap_mb * MB)),
@@ -237,8 +225,7 @@ def _fleet_run(source: str, clients: int, surrogates: int,
     surrogates, with admission control, DRR fairness, and eviction."""
     from .config import DeviceProfile
     from .emulator import (
-        ColumnarTrace, EmulatorConfig, FleetConfig, FleetEmulator,
-        replicate,
+        EmulatorConfig, FleetConfig, FleetEmulator, replicate,
     )
     from .errors import ConfigurationError
     from .units import MB
@@ -248,8 +235,6 @@ def _fleet_run(source: str, clients: int, surrogates: int,
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if not isinstance(trace, ColumnarTrace):
-        trace = ColumnarTrace.from_trace(trace)
     config = EmulatorConfig(
         client=DeviceProfile("client-dev", cpu_speed=1.0,
                              heap_capacity=int(heap_mb * MB)),
@@ -343,13 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emulated clients for 'replay' (default 1; "
                              "each replays the trace independently)")
     parser.add_argument("--format", dest="trace_format", default="auto",
-                        choices=("auto", "jsonl", "ctrace", "sarif"),
-                        help="in-memory trace representation for "
-                             "'replay': columnar (ctrace) uses the "
-                             "batched dispatch loop (default: as "
-                             "loaded); for 'analyze', 'sarif' renders "
-                             "the diagnostics as a SARIF 2.1.0 log "
-                             "(to --json PATH, or stdout)")
+                        choices=("auto", "sarif"),
+                        help="for 'analyze': 'sarif' renders the "
+                             "diagnostics as a SARIF 2.1.0 log (to "
+                             "--json PATH, or stdout)")
     parser.add_argument("--surrogates", type=int, default=4, metavar="M",
                         help="surrogate pool size for 'fleet run' "
                              "(default 4)")
@@ -400,14 +382,13 @@ def main(argv=None) -> int:
         if len(targets) != 2:
             print("usage: python -m repro replay <path|app> [--heap-mb N] "
                   "[--no-offload] [--faults SPEC] [--workers N] "
-                  "[--clients N] [--format ctrace] "
+                  "[--clients N] "
                   "[--link-profile SPEC] [--mobility MODE]",
                   file=sys.stderr)
             return 2
         return _replay(targets[1], args.heap_mb, not args.no_offload,
                        args.faults, workers=args.workers,
                        clients=args.clients,
-                       trace_format=args.trace_format,
                        link_profile=args.link_profile,
                        mobility=args.mobility)
     if targets[0] == "fleet":

@@ -37,7 +37,7 @@ from .timemodel import (
     remote_access_cost,
     remote_invoke_cost,
 )
-from .traces import Trace, load_any
+from .traces import Trace, load_any, save_any
 
 __all__ = [
     "AccessEvent",
@@ -76,6 +76,7 @@ __all__ = [
     "collect_class_traits",
     "event_from_row",
     "load_any",
+    "save_any",
     "migration_cost",
     "migration_payload",
     "read_ctrace",

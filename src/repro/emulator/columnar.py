@@ -126,7 +126,8 @@ class ColumnarTrace:
     Semantically equivalent to :class:`~repro.emulator.traces.Trace`
     (``from_trace``/``to_trace`` round-trip exactly); structurally a
     struct-of-arrays, so it is cheap to hold, ship to worker processes,
-    and replay through the batched dispatch loop.
+    and replay through the batched dispatch loop.  The recorder writes
+    this representation directly (:meth:`append`).
     """
 
     def __init__(
@@ -144,7 +145,10 @@ class ColumnarTrace:
         if columns is None:
             columns = {name: array(code) for name, code in COLUMN_SPECS}
         self.columns = columns
-        self._events_cache: Optional[List[TraceEvent]] = None
+        self._index = {name: sid for sid, name in enumerate(self.strings)}
+        # Bound ``append`` of every column, in COLUMN_SPECS order (built
+        # on first append: mmap-backed columns are read-only views).
+        self._appenders = None
         self._lists_cache = None
         # Keeps an mmap (and its file) alive for view-backed columns.
         self._mmap = None
@@ -160,10 +164,9 @@ class ColumnarTrace:
 
     @property
     def events(self) -> List[TraceEvent]:
-        """Materialised event objects (built lazily, cached)."""
-        if self._events_cache is None:
-            self._events_cache = list(self.iter_events())
-        return self._events_cache
+        """Materialised event objects, rebuilt on every access (the
+        columns are the trace; event objects are a view of them)."""
+        return list(self.iter_events())
 
     def pinned_classes(self, stateless_natives_ok: bool = False) -> List[str]:
         """Classes that must stay on the client under the given rules."""
@@ -181,7 +184,8 @@ class ColumnarTrace:
         List indexing beats both ``array`` and ``memoryview`` indexing
         in the replay hot loop; the decode is a single C-level pass.
         """
-        if self._lists_cache is None:
+        cached = self._lists_cache
+        if cached is None or len(cached["tags"]) != len(self):
             decoded = {}
             for name, _ in COLUMN_SPECS:
                 column = self.columns[name]
@@ -198,96 +202,102 @@ class ColumnarTrace:
     def from_trace(cls, trace: Union[Trace, "ColumnarTrace"]) -> "ColumnarTrace":
         if isinstance(trace, ColumnarTrace):
             return trace
-        strings: List[str] = []
-        index: Dict[str, int] = {}
-
-        def intern(name: str) -> int:
-            sid = index.get(name)
-            if sid is None:
-                sid = len(strings)
-                index[name] = sid
-                strings.append(name)
-            return sid
-
         columnar = cls(
             app_name=trace.app_name,
             class_traits={k: dict(v) for k, v in trace.class_traits.items()},
             notes=trace.notes,
-            strings=strings,
         )
-        cols = columnar.columns
-        tags, a_cls, a_oid = cols["tags"], cols["a_cls"], cols["a_oid"]
-        b_cls, b_oid = cols["b_cls"], cols["b_oid"]
-        m_id, k_id, flags = cols["m_id"], cols["k_id"], cols["flags"]
-        n1, n2, f64 = cols["n1"], cols["n2"], cols["f64"]
         for event in trace.events:
-            kind = event.kind
-            if kind == "invoke":
-                tags.append(TAG_INVOKE)
-                a_cls.append(intern(event.caller_class))
-                a_oid.append(_oid_cell(event.caller_oid, "caller_oid"))
-                b_cls.append(intern(event.callee_class))
-                b_oid.append(_oid_cell(event.callee_oid, "callee_oid"))
-                m_id.append(intern(event.method))
-                k_id.append(intern(event.mkind))
-                flags.append(FLAG_STATELESS if event.stateless else 0)
-                n1.append(event.arg_bytes)
-                n2.append(event.ret_bytes)
-                f64.append(0.0)
-            elif kind == "access":
-                tags.append(TAG_ACCESS)
-                a_cls.append(intern(event.accessor_class))
-                a_oid.append(_oid_cell(event.accessor_oid, "accessor_oid"))
-                b_cls.append(intern(event.owner_class))
-                b_oid.append(_oid_cell(event.owner_oid, "owner_oid"))
-                m_id.append(-1)
-                k_id.append(-1)
-                flags.append(
-                    (FLAG_WRITE if event.is_write else 0)
-                    | (FLAG_STATIC if event.is_static else 0)
-                )
-                n1.append(event.nbytes)
-                n2.append(0)
-                f64.append(0.0)
-            elif kind == "work":
-                tags.append(TAG_WORK)
-                a_cls.append(intern(event.class_name))
-                a_oid.append(_oid_cell(event.oid, "work oid"))
-                b_cls.append(-1)
-                b_oid.append(-1)
-                m_id.append(-1)
-                k_id.append(-1)
-                flags.append(0)
-                n1.append(0)
-                n2.append(0)
-                f64.append(event.seconds)
-            elif kind == "alloc":
-                tags.append(TAG_ALLOC)
-                a_cls.append(intern(event.class_name))
-                a_oid.append(_oid_cell(event.oid, "oid"))
-                b_cls.append(intern(event.creator_class))
-                b_oid.append(_oid_cell(event.creator_oid, "creator_oid"))
-                m_id.append(-1)
-                k_id.append(-1)
-                flags.append(0)
-                n1.append(event.size)
-                n2.append(0)
-                f64.append(0.0)
-            elif kind == "free":
-                tags.append(TAG_FREE)
-                a_cls.append(-1)
-                a_oid.append(_oid_cell(event.oid, "oid"))
-                b_cls.append(-1)
-                b_oid.append(-1)
-                m_id.append(-1)
-                k_id.append(-1)
-                flags.append(0)
-                n1.append(0)
-                n2.append(0)
-                f64.append(0.0)
-            else:  # pragma: no cover - TraceEvent is a closed union
-                raise TraceFormatError(f"unknown event kind {kind!r}")
+            columnar.append(event)
         return columnar
+
+    def _intern(self, name: str) -> int:
+        sid = self._index.get(name)
+        if sid is None:
+            sid = len(self.strings)
+            self._index[name] = sid
+            self.strings.append(name)
+        return sid
+
+    def append(self, event: TraceEvent) -> None:
+        """Encode one event onto the end of every column.
+
+        The one per-kind encoder: :meth:`from_trace` and the trace
+        recorder both build columns through it.
+        """
+        appenders = self._appenders
+        if appenders is None:
+            appenders = self._appenders = tuple(
+                self.columns[name].append for name, _ in COLUMN_SPECS
+            )
+        tags, a_cls, a_oid, b_cls, b_oid, m_id, k_id, flags, n1, n2, f64 = (
+            appenders
+        )
+        intern = self._intern
+        kind = event.kind
+        if kind == "invoke":
+            tags(TAG_INVOKE)
+            a_cls(intern(event.caller_class))
+            a_oid(_oid_cell(event.caller_oid, "caller_oid"))
+            b_cls(intern(event.callee_class))
+            b_oid(_oid_cell(event.callee_oid, "callee_oid"))
+            m_id(intern(event.method))
+            k_id(intern(event.mkind))
+            flags(FLAG_STATELESS if event.stateless else 0)
+            n1(event.arg_bytes)
+            n2(event.ret_bytes)
+            f64(0.0)
+        elif kind == "access":
+            tags(TAG_ACCESS)
+            a_cls(intern(event.accessor_class))
+            a_oid(_oid_cell(event.accessor_oid, "accessor_oid"))
+            b_cls(intern(event.owner_class))
+            b_oid(_oid_cell(event.owner_oid, "owner_oid"))
+            m_id(-1)
+            k_id(-1)
+            flags((FLAG_WRITE if event.is_write else 0)
+                  | (FLAG_STATIC if event.is_static else 0))
+            n1(event.nbytes)
+            n2(0)
+            f64(0.0)
+        elif kind == "work":
+            tags(TAG_WORK)
+            a_cls(intern(event.class_name))
+            a_oid(_oid_cell(event.oid, "work oid"))
+            b_cls(-1)
+            b_oid(-1)
+            m_id(-1)
+            k_id(-1)
+            flags(0)
+            n1(0)
+            n2(0)
+            f64(event.seconds)
+        elif kind == "alloc":
+            tags(TAG_ALLOC)
+            a_cls(intern(event.class_name))
+            a_oid(_oid_cell(event.oid, "oid"))
+            b_cls(intern(event.creator_class))
+            b_oid(_oid_cell(event.creator_oid, "creator_oid"))
+            m_id(-1)
+            k_id(-1)
+            flags(0)
+            n1(event.size)
+            n2(0)
+            f64(0.0)
+        elif kind == "free":
+            tags(TAG_FREE)
+            a_cls(-1)
+            a_oid(_oid_cell(event.oid, "oid"))
+            b_cls(-1)
+            b_oid(-1)
+            m_id(-1)
+            k_id(-1)
+            flags(0)
+            n1(0)
+            n2(0)
+            f64(0.0)
+        else:  # pragma: no cover - TraceEvent is a closed union
+            raise TraceFormatError(f"unknown event kind {kind!r}")
 
     def iter_events(self) -> Iterator[TraceEvent]:
         """Rebuild event objects one at a time (the exact inverse of
@@ -356,6 +366,7 @@ class ColumnarTrace:
             name: array(code, self.columns[name])
             for name, code in COLUMN_SPECS
         }
+        self._appenders = None
         for view in self._views:
             view.release()
         self._views = []

@@ -10,11 +10,12 @@ run against the unconstrained original.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 from ..core.policy import OffloadPolicy
 from ..errors import ConfigurationError
 from ..units import MB
+from .columnar import ColumnarTrace
 from .replay import EmulationResult, EmulatorConfig, TraceReplayer
 from .traces import Trace
 
@@ -47,10 +48,11 @@ class OverheadStudy:
 class Emulator:
     """Replay engine bound to one recorded trace."""
 
-    def __init__(self, trace: Trace) -> None:
+    def __init__(self, trace: Union[Trace, ColumnarTrace]) -> None:
         if len(trace) == 0:
             raise ConfigurationError("cannot emulate an empty trace")
-        self.trace = trace
+        # Converted once here, not once per replay.
+        self.trace = ColumnarTrace.from_trace(trace)
 
     def replay(self, config: EmulatorConfig) -> EmulationResult:
         return TraceReplayer(self.trace, config).run()

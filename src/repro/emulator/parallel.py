@@ -110,7 +110,10 @@ class AggregateReplayResult:
 def replicate(trace: TraceSource, config: EmulatorConfig,
               clients: int) -> List[ReplayShard]:
     """N identical shards (the fleet-benchmark shape): one shared trace
-    source replayed once per emulated client."""
+    source replayed once per emulated client (a row trace is converted
+    to columnar once, here, rather than once per replay)."""
+    if isinstance(trace, Trace):
+        trace = ColumnarTrace.from_trace(trace)
     width = max(4, len(str(max(clients - 1, 0))))
     return [
         ReplayShard(client_id=f"client-{i:0{width}d}", trace=trace,

@@ -3,8 +3,9 @@
 The paper extracts traces "from the prototype while running the
 application to completion on a single PC".  :func:`record_application`
 does the same: it runs a guest application on a single large-heap VM
-with monitoring on and captures every hook event into a
-:class:`~repro.emulator.traces.Trace`.
+with monitoring on and encodes every hook event straight into a
+:class:`~repro.emulator.columnar.ColumnarTrace` — the representation
+the replayer runs, so a recorded trace is never converted.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from ..vm.gc import GCReport
 from ..vm.hooks import AccessRecord, ExecutionListener, InvokeRecord
 from ..vm.objectmodel import JObject, MethodDef
 from ..vm.session import LocalSession
+from .columnar import ColumnarTrace
 from .events import (
     AccessEvent,
     AllocEvent,
@@ -25,7 +27,6 @@ from .events import (
     InvokeEvent,
     WorkEvent,
 )
-from .traces import Trace
 
 #: Recording happens on a developer PC with a heap big enough that the
 #: application never hits its memory constraint.
@@ -34,7 +35,7 @@ RECORDING_DEVICE = DeviceProfile("recording-pc", cpu_speed=1.0,
 
 
 class TraceRecorder(ExecutionListener):
-    """Hook listener that appends every event to a trace.
+    """Hook listener that appends every event to a columnar trace.
 
     The recorder mirrors the context's frame nesting through the
     invoke-enter/invoke-completed hook pair so that allocations can name
@@ -44,8 +45,8 @@ class TraceRecorder(ExecutionListener):
     recordings are of complete, successful runs.)
     """
 
-    def __init__(self, trace: Optional[Trace] = None) -> None:
-        self.trace = trace if trace is not None else Trace()
+    def __init__(self, trace: Optional[ColumnarTrace] = None) -> None:
+        self.trace = trace if trace is not None else ColumnarTrace()
         self._current_class = "<main>"
         self._current_oid: Optional[int] = None
         self._stack: List[Tuple[str, Optional[int]]] = []
@@ -111,7 +112,7 @@ def record_application(
     device: DeviceProfile = RECORDING_DEVICE,
     gc: Optional[GCConfig] = None,
     notes: str = "",
-) -> Trace:
+) -> ColumnarTrace:
     """Run ``app`` to completion on one big VM, returning its trace."""
     config = VMConfig(
         device=device,
@@ -120,7 +121,7 @@ def record_application(
         monitoring_event_cost=0.0,
     )
     session = LocalSession(config)
-    trace = Trace(app_name=app.name, notes=notes)
+    trace = ColumnarTrace(app_name=app.name, notes=notes)
     recorder = TraceRecorder(trace)
     session.add_listener(recorder)
     app.install(session.registry)

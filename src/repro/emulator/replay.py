@@ -56,13 +56,6 @@ from .columnar import (
     TAG_INVOKE,
     TAG_WORK,
 )
-from .events import (
-    AccessEvent,
-    AllocEvent,
-    FreeEvent,
-    InvokeEvent,
-    WorkEvent,
-)
 from .timemodel import (
     migration_cost,
     migration_payload,
@@ -279,11 +272,13 @@ class EmulationResult:
 class TraceReplayer:
     """Replays one trace under one configuration.
 
-    Accepts either representation of a trace: the row-oriented
-    :class:`~repro.emulator.traces.Trace` replays through the per-event
-    handler loop, a :class:`~repro.emulator.columnar.ColumnarTrace`
-    through the batched columnar loop (same semantics, same
-    fingerprint, several times the throughput).
+    Replays run through one batched loop over a
+    :class:`~repro.emulator.columnar.ColumnarTrace` — what the recorder
+    writes and ``.ctrace`` files hold.  A row-oriented
+    :class:`~repro.emulator.traces.Trace` (the JSONL file format) is
+    converted when the replay starts; callers replaying one row trace
+    many times convert it once themselves, as
+    :class:`~repro.emulator.Emulator` does.
     """
 
     def __init__(self, trace: Union[Trace, ColumnarTrace],
@@ -363,6 +358,13 @@ class TraceReplayer:
                          stats=self._dp_stats)
             if dp.coalescing else None
         )
+        # Wire-cost memo tables: the cost helpers are pure in (link,
+        # payload, direction) and traces reuse a handful of payload
+        # sizes, so each distinct size is priced once per link — the
+        # cached float is the same object the helper returned, keeping
+        # accounting bit-identical.  A link switch drops them.
+        self._access_cost_memo: Dict[Tuple[int, int], float] = {}
+        self._invoke_cost_memo: Dict[Tuple[int, int], float] = {}
         # Fault injection: a fresh seeded schedule per replayer, so two
         # replays of one config draw identical fault streams.
         spec = config.faults
@@ -425,32 +427,7 @@ class TraceReplayer:
             return object_node_id(class_name, oid)
         return class_name
 
-    def _class_site(self, class_name: str) -> str:
-        if class_name in self._class_on_surrogate:
-            return SURROGATE
-        return CLIENT
-
-    def _site_for(self, class_name: str, oid: Optional[int]) -> str:
-        if oid is not None:
-            site = self._site.get(oid)
-            if site is not None:
-                return site
-        return self._class_site(class_name)
-
     # -- batched graph updates ---------------------------------------------------
-
-    def _record_interaction(self, a: str, b: str, nbytes: int) -> None:
-        if a == b:
-            return
-        pair = (a, b) if a <= b else (b, a)
-        if pair == self._pending_edge:
-            self._pending_edge_bytes += nbytes
-            self._pending_edge_count += 1
-            return
-        self._flush_interactions()
-        self._pending_edge = pair
-        self._pending_edge_bytes = nbytes
-        self._pending_edge_count = 1
 
     def _flush_interactions(self) -> None:
         pair = self._pending_edge
@@ -464,15 +441,6 @@ class TraceReplayer:
             self._pending_edge_count = 0
 
     # -- time ------------------------------------------------------------
-
-    def _charge_cpu(self, site: str, reference_seconds: float) -> None:
-        if site == CLIENT:
-            wall = reference_seconds / self.config.client.cpu_speed
-            self.result.cpu_time_client += wall
-        else:
-            wall = reference_seconds / self.config.surrogate.cpu_speed
-            self.result.cpu_time_surrogate += wall
-        self._now += wall
 
     def _charge_comm(self, seconds: float) -> None:
         self.result.comm_time += seconds
@@ -506,28 +474,6 @@ class TraceReplayer:
             # The batch died with the surrogate: its legs never travel.
             return
         self._charge_comm(self._link.one_way(nbytes))
-
-    def _cache_key(self, event: AccessEvent):
-        """Cache key for one access, or None when uncacheable.
-
-        Arrays are excluded (bulk element traffic is placement data,
-        not read-mostly state); statics cache at class granularity.
-        """
-        if event.is_static:
-            return RemoteReadCache.static_key(event.owner_class)
-        if event.owner_oid is None or event.owner_class.endswith("[]"):
-            return None
-        return event.owner_oid
-
-    def _charge_monitoring(self, site: str) -> None:
-        cost = self.config.monitoring_event_cost
-        if not cost:
-            return
-        speed = (self.config.client.cpu_speed if site == CLIENT
-                 else self.config.surrogate.cpu_speed)
-        wall = cost / speed
-        self.result.monitoring_time += wall
-        self._now += wall
 
     # -- surrogate death and rediscovery -------------------------------------
 
@@ -604,16 +550,7 @@ class TraceReplayer:
         """
         profile = self.config.link_profile
         report = self._mobility_report
-        new_link = profile.link_at(self._now - self._epoch_start)
-        if new_link != self._link:
-            if self._coalescer is not None:
-                # Buffered traffic was produced under the old link;
-                # charge it at old-link prices before switching.
-                self._coalescer.flush()
-            self._link = new_link
-            if self._coalescer is not None:
-                self._coalescer.link = new_link
-            report.link_changes += 1
+        self._switch_link(profile.link_at(self._now - self._epoch_start))
         self._next_link_change = self._epoch_start + profile.next_change_after(
             self._now - self._epoch_start
         )
@@ -628,6 +565,20 @@ class TraceReplayer:
                 self._proactive_repatriation()
         elif action == "recover":
             self._reoffload_after_recovery()
+
+    def _switch_link(self, new_link: LinkModel) -> None:
+        """Move every cost site onto ``new_link`` (no-op if unchanged)."""
+        if new_link == self._link:
+            return
+        if self._coalescer is not None:
+            # Buffered traffic was produced under the old link; charge
+            # it at old-link prices before switching.
+            self._coalescer.flush()
+            self._coalescer.link = new_link
+        self._link = new_link
+        self._access_cost_memo.clear()
+        self._invoke_cost_memo.clear()
+        self._mobility_report.link_changes += 1
 
     def _roam_handoff(self) -> None:
         """Hand the offloaded partition to a better-placed surrogate.
@@ -661,14 +612,7 @@ class TraceReplayer:
         report.handoffs += 1
         self._epoch_start = self._now
         profile = self.config.link_profile
-        new_link = profile.link_at(0.0)
-        if new_link != self._link:
-            if self._coalescer is not None:
-                self._coalescer.flush()
-            self._link = new_link
-            if self._coalescer is not None:
-                self._coalescer.link = new_link
-            report.link_changes += 1
+        self._switch_link(profile.link_at(0.0))
         self._next_link_change = (
             self._now + profile.next_change_after(0.0)
         )
@@ -701,89 +645,21 @@ class TraceReplayer:
     # -- the replay loop ------------------------------------------------------
 
     def run(self) -> EmulationResult:
-        if isinstance(self.trace, ColumnarTrace) and self._delivery is None:
-            # The batched loop does not thread the fault gauntlet's
-            # per-exchange callbacks; faulty configs take the (equally
-            # correct) per-event path below.
-            return self._run_columnar(self.trace)
-        handlers = {
-            AllocEvent: self._replay_alloc,
-            FreeEvent: self._replay_free,
-            InvokeEvent: self._replay_invoke,
-            AccessEvent: self._replay_access,
-            WorkEvent: self._replay_work,
-        }
-        offload_at = self.config.offload_at_event
-        reevaluate_every = self.config.reevaluate_every
-        for event in self.trace.events:
-            handlers[type(event)](event)
-            self.result.events_processed += 1
-            if self._now >= self._next_link_change:
-                self._poll_mobility()
-            if (
-                self._reattach_at is not None
-                and self._surrogate_dead
-                and self._now >= self._reattach_at
-            ):
-                self._rediscover()
-            if (
-                offload_at is not None
-                and self.result.events_processed == offload_at
-                and self.config.offload_enabled
-            ):
-                self._attempt_offload()
-            if (
-                reevaluate_every is not None
-                and self.config.offload_enabled
-                and self.result.offload_count > 0
-                and self._now - self._last_reevaluation >= reevaluate_every
-            ):
-                # Clock-driven re-evaluation (global-placement mode):
-                # checked against virtual time on every event, because
-                # after an offload the client may stop allocating (and
-                # hence stop collecting) entirely.
-                self._last_reevaluation = self._now
-                self._attempt_offload(reevaluation=True)
-            if self.result.oom:
-                break
-        return self._finish_run()
+        """Replay the trace: batched dispatch over its columns.
 
-    def _finish_run(self) -> EmulationResult:
-        """Close out a replay (shared by the per-event and batched loops)."""
-        self._flush_interactions()
-        if self._coalescer is not None:
-            self._coalescer.flush()
-        if self._lost_at is not None:
-            # The run ended in degraded mode: close the downtime window.
-            self._fault_report.downtime_s += self._now - self._lost_at
-            self._lost_at = None
-        if self.config.faults is not None:
-            self._fault_report.epochs_survived = self.result.offload_count
-            self.result.faults = self._fault_report
-        if self._mobility_report is not None:
-            self.result.mobility = self._mobility_report
-        self.result.completed = not self.result.oom
-        self.result.total_time = self._now
-        self.result.final_offload_nodes = self._offloaded
-        self.result.reeval = self._session.stats
-        self.result.data_plane = self._dp_stats
-        return self.result
-
-    def _run_columnar(self, trace: ColumnarTrace) -> EmulationResult:
-        """Batched dispatch over a columnar trace.
-
-        Semantically this is :meth:`run`'s per-event loop with the five
-        handlers inlined: the same operations happen in the same order
-        with the same floating-point arithmetic, so serial and columnar
-        replays of one trace produce bit-identical fingerprints (the
-        parity tests in ``tests/emulator`` enforce this).  The speed
-        comes from batch-decoding the columns into plain lists once and
-        hoisting every per-event attribute/config lookup out of the
-        loop; mutable replayer state lives in locals and is spilled to
-        (and reloaded from) the instance only around the rare cold
-        calls — GC cycles, partitioning attempts, surrogate-side
-        reclaims, coalesced transfers.
+        The columns are decoded into plain lists once and every
+        per-event attribute/config lookup is hoisted out of the loop;
+        mutable replayer state lives in locals and is spilled to (and
+        reloaded from) the instance only around the rare cold calls —
+        GC cycles, partitioning attempts, surrogate-side reclaims,
+        coalesced transfers, fault-gauntlet exchanges, and the clock
+        thresholds (link-profile change points, reattachment after a
+        partition).  The per-event reference interpreter kept with the
+        tests performs the same operations in the same order with the
+        same floating-point arithmetic; the parity suites hold the two
+        to bit-identical fingerprints.
         """
+        trace = ColumnarTrace.from_trace(self.trace)
         cols = trace.column_lists()
         strings = trace.strings
         tags = cols["tags"]
@@ -802,12 +678,14 @@ class TraceReplayer:
         allocs_per_cycle = config.gc.allocations_per_cycle
         bytes_per_cycle = config.gc.bytes_per_cycle
         monitoring_cost = config.monitoring_event_cost
-        link = self._link
-        next_roam = self._next_link_change
         offload_at = config.offload_at_event
         reevaluate_every = config.reevaluate_every
         offload_enabled = config.offload_enabled
         stateless_local = config.flags.stateless_natives_local
+        # Under fault injection every remote exchange runs the retry
+        # ladder, which may charge time or kill the surrogate: those
+        # exchanges become cold calls with a full spill around them.
+        faulty = self._delivery is not None
 
         # String-id tables: mkind comparisons and node naming become
         # integer work.  Ids that cannot occur compare unequal to every
@@ -827,14 +705,9 @@ class TraceReplayer:
             if name.endswith("[]")
         }
 
-        # Wire-cost memo tables: the cost helpers are pure in
-        # (link, payload, direction) and traces reuse a handful of
-        # payload sizes, so each distinct size is priced exactly once —
-        # the cached float is the same object the helper returned,
-        # keeping accounting bit-identical.
-        access_cost_memo: Dict[Tuple[int, int], float] = {}
+        access_cost_memo = self._access_cost_memo
         access_memo_get = access_cost_memo.get
-        invoke_cost_memo: Dict[Tuple[int, int], float] = {}
+        invoke_cost_memo = self._invoke_cost_memo
         invoke_memo_get = invoke_cost_memo.get
 
         site_map = self._site
@@ -853,25 +726,16 @@ class TraceReplayer:
         graph_ensure = graph.ensure_node
 
         # Hoisted mutable state (spilled/reloaded around cold calls).
-        now = self._now
-        client_live = self._client_live
-        surrogate_live = self._surrogate_live
-        allocs_since_gc = self._allocs_since_gc
-        bytes_since_gc = self._bytes_since_gc
-        last_reeval = self._last_reevaluation
-        class_on_surrogate = self._class_on_surrogate
-        pend_pair = self._pending_edge
-        pend_bytes = self._pending_edge_bytes
-        pend_count = self._pending_edge_count
         cpu_client = result.cpu_time_client
         cpu_surrogate = result.cpu_time_surrogate
-        comm_time = result.comm_time
         monitoring_time = result.monitoring_time
         remote_invocations = result.remote_invocations
         remote_native = result.remote_native_invocations
         remote_accesses = result.remote_accesses
         remote_bytes = result.remote_bytes
-        peak_client = result.peak_client_bytes
+        (now, client_live, surrogate_live, allocs_since_gc, bytes_since_gc,
+         last_reeval, class_on_surrogate, pend_pair, pend_bytes, pend_count,
+         comm_time, peak_client, link, next_cold) = self._reload()
         ep = 0
         oom = False
 
@@ -879,19 +743,11 @@ class TraceReplayer:
         SURROGATE_ = SURROGATE
         for i, tag in enumerate(tags):
             if tag == TAG_ACCESS:
-                # -- inline _replay_access --------------------------------
                 acid = a_cls[i]
                 accessor_class = strings[acid]
                 ao = a_oid[i]
-                if ao >= 0:
-                    accessor_site = site_get(ao)
-                    if accessor_site is None:
-                        accessor_site = (
-                            SURROGATE_
-                            if accessor_class in class_on_surrogate
-                            else CLIENT_
-                        )
-                else:
+                accessor_site = site_get(ao) if ao >= 0 else None
+                if accessor_site is None:
                     accessor_site = (
                         SURROGATE_ if accessor_class in class_on_surrogate
                         else CLIENT_
@@ -904,53 +760,66 @@ class TraceReplayer:
                 if fl & FLAG_STATIC:
                     owner_site = CLIENT_
                 else:
-                    if oo >= 0:
-                        owner_site = site_get(oo)
-                        if owner_site is None:
-                            owner_site = (
-                                SURROGATE_
-                                if owner_class in class_on_surrogate
-                                else CLIENT_
-                            )
-                    else:
+                    owner_site = site_get(oo) if oo >= 0 else None
+                    if owner_site is None:
                         owner_site = (
-                            SURROGATE_
-                            if owner_class in class_on_surrogate
+                            SURROGATE_ if owner_class in class_on_surrogate
                             else CLIENT_
                         )
                 nbytes = n1[i]
-                if cache is not None and is_write:
+                key = None
+                if cache is not None:
+                    # Arrays are uncacheable (bulk element traffic is
+                    # placement data, not read-mostly state); statics
+                    # cache at class granularity.
                     if fl & FLAG_STATIC:
                         key = static_key(owner_class)
-                    elif oo < 0 or bcid in array_ids:
-                        key = None
-                    else:
+                    elif oo >= 0 and bcid not in array_ids:
                         key = oo
-                    if key is not None:
+                    if is_write and key is not None:
+                        # Any write (local or remote) makes a cached
+                        # copy on the other site stale.
                         cache_invalidate(key)
                 if owner_site != accessor_site:
-                    cached = False
-                    if cache is not None and not is_write:
-                        if fl & FLAG_STATIC:
-                            key = static_key(owner_class)
-                        elif oo < 0 or bcid in array_ids:
-                            key = None
-                        else:
-                            key = oo
-                        cached = key is not None and cache_note_read(key)
-                    if cached:
+                    if (
+                        key is not None
+                        and not is_write
+                        and cache_note_read(key)
+                    ):
                         # Served from the reading site's copy: no round
                         # trip, zero bytes on the wire.
                         pass
+                    elif faulty:
+                        self._spill(
+                            ep, now, client_live, surrogate_live,
+                            allocs_since_gc, bytes_since_gc, last_reeval,
+                            pend_pair, pend_bytes, pend_count, cpu_client,
+                            cpu_surrogate, comm_time, monitoring_time,
+                            remote_invocations, remote_native,
+                            remote_accesses, remote_bytes, peak_client,
+                        )
+                        delivered = self._remote_access(
+                            accessor_site, owner_site, nbytes, is_write
+                        )
+                        (now, client_live, surrogate_live, allocs_since_gc,
+                         bytes_since_gc, last_reeval, class_on_surrogate,
+                         pend_pair, pend_bytes, pend_count, comm_time,
+                         peak_client, link, next_cold) = self._reload()
+                        if delivered:
+                            remote_accesses += 1
+                            remote_bytes += nbytes
+                        else:
+                            # Surrogate lost mid-access: recovery has
+                            # repatriated every object and cleared class
+                            # placement, so the owner resolves to the
+                            # client and the access completes locally,
+                            # uncharged.
+                            owner_site = CLIENT_
                     elif coalescer is not None:
                         self._now = now
                         result.comm_time = comm_time
-                        if is_write:
-                            coalescer.write(accessor_site, owner_site,
-                                            nbytes)
-                        else:
-                            coalescer.read(accessor_site, owner_site,
-                                           nbytes)
+                        self._remote_access(accessor_site, owner_site,
+                                            nbytes, is_write)
                         now = self._now
                         comm_time = result.comm_time
                         remote_accesses += 1
@@ -981,6 +850,9 @@ class TraceReplayer:
                     accessor_node = accessor_class
                     owner_node = owner_class
                 if accessor_node != owner_node:
+                    # Run-length buffered graph update: consecutive
+                    # interactions over one node pair collapse into a
+                    # single ``record_interaction(..., count=N)``.
                     pair = (
                         (accessor_node, owner_node)
                         if accessor_node <= owner_node
@@ -1004,17 +876,10 @@ class TraceReplayer:
                     monitoring_time += wall
                     now += wall
             elif tag == TAG_WORK:
-                # -- inline _replay_work ----------------------------------
                 class_name = strings[a_cls[i]]
                 ao = a_oid[i]
-                if ao >= 0:
-                    site = site_get(ao)
-                    if site is None:
-                        site = (
-                            SURROGATE_ if class_name in class_on_surrogate
-                            else CLIENT_
-                        )
-                else:
+                site = site_get(ao) if ao >= 0 else None
+                if site is None:
                     site = (
                         SURROGATE_ if class_name in class_on_surrogate
                         else CLIENT_
@@ -1029,19 +894,11 @@ class TraceReplayer:
                 now += wall
                 graph_add_cpu(class_name, seconds)
             elif tag == TAG_INVOKE:
-                # -- inline _replay_invoke --------------------------------
                 acid = a_cls[i]
                 caller_class = strings[acid]
                 ao = a_oid[i]
-                if ao >= 0:
-                    caller_site = site_get(ao)
-                    if caller_site is None:
-                        caller_site = (
-                            SURROGATE_
-                            if caller_class in class_on_surrogate
-                            else CLIENT_
-                        )
-                else:
+                caller_site = site_get(ao) if ao >= 0 else None
+                if caller_site is None:
                     caller_site = (
                         SURROGATE_ if caller_class in class_on_surrogate
                         else CLIENT_
@@ -1058,29 +915,46 @@ class TraceReplayer:
                 elif kid == static_id:
                     exec_site = caller_site
                 else:
-                    if bo >= 0:
-                        exec_site = site_get(bo)
-                        if exec_site is None:
-                            exec_site = (
-                                SURROGATE_
-                                if callee_class in class_on_surrogate
-                                else CLIENT_
-                            )
-                    else:
+                    exec_site = site_get(bo) if bo >= 0 else None
+                    if exec_site is None:
                         exec_site = (
-                            SURROGATE_
-                            if callee_class in class_on_surrogate
+                            SURROGATE_ if callee_class in class_on_surrogate
                             else CLIENT_
                         )
                 arg_bytes = n1[i]
                 ret_bytes = n2[i]
                 nbytes = arg_bytes + ret_bytes
                 if exec_site != caller_site:
-                    if coalescer is not None:
+                    if faulty:
+                        self._spill(
+                            ep, now, client_live, surrogate_live,
+                            allocs_since_gc, bytes_since_gc, last_reeval,
+                            pend_pair, pend_bytes, pend_count, cpu_client,
+                            cpu_surrogate, comm_time, monitoring_time,
+                            remote_invocations, remote_native,
+                            remote_accesses, remote_bytes, peak_client,
+                        )
+                        delivered = self._remote_invoke(
+                            caller_site, exec_site, arg_bytes, ret_bytes
+                        )
+                        (now, client_live, surrogate_live, allocs_since_gc,
+                         bytes_since_gc, last_reeval, class_on_surrogate,
+                         pend_pair, pend_bytes, pend_count, comm_time,
+                         peak_client, link, next_cold) = self._reload()
+                        if not delivered:
+                            # The surrogate died under this round trip:
+                            # recovery has repatriated everything, so
+                            # both ends resolve to the client and the
+                            # invocation is local now.
+                            caller_site = exec_site = CLIENT_
+                    elif coalescer is not None:
+                        # Control transfers: the invoke closes its
+                        # batch, and any buffered writes piggyback on
+                        # its request leg.
                         self._now = now
                         result.comm_time = comm_time
-                        coalescer.invoke(caller_site, exec_site,
-                                         arg_bytes, ret_bytes)
+                        self._remote_invoke(caller_site, exec_site,
+                                            arg_bytes, ret_bytes)
                         now = self._now
                         comm_time = result.comm_time
                     else:
@@ -1092,10 +966,11 @@ class TraceReplayer:
                             invoke_cost_memo[ck] = cost
                         comm_time += cost
                         now += cost
-                    remote_invocations += 1
-                    remote_bytes += nbytes
-                    if kid == native_id:
-                        remote_native += 1
+                    if exec_site != caller_site:
+                        remote_invocations += 1
+                        remote_bytes += nbytes
+                        if kid == native_id:
+                            remote_native += 1
                 if granular_ids:
                     caller_node = (
                         object_node_id(caller_class, ao)
@@ -1134,69 +1009,47 @@ class TraceReplayer:
                     monitoring_time += wall
                     now += wall
             elif tag == TAG_ALLOC:
-                # -- inline _replay_alloc ---------------------------------
+                # New objects are placed on the VM performing the
+                # creation.
                 creator_class = strings[b_cls[i]]
                 site = (
                     SURROGATE_ if creator_class in class_on_surrogate
                     else CLIENT_
                 )
                 size = n1[i]
-                if site == CLIENT_:
+                reason = None
+                if site == CLIENT_ and client_live + size > capacity:
+                    self._spill(
+                        ep, now, client_live, surrogate_live,
+                        allocs_since_gc, bytes_since_gc, last_reeval,
+                        pend_pair, pend_bytes, pend_count, cpu_client,
+                        cpu_surrogate, comm_time, monitoring_time,
+                        remote_invocations, remote_native,
+                        remote_accesses, remote_bytes, peak_client,
+                    )
+                    self._gc_cycle("space-exhausted")
+                    (now, client_live, surrogate_live, allocs_since_gc,
+                     bytes_since_gc, last_reeval, class_on_surrogate,
+                     pend_pair, pend_bytes, pend_count, comm_time,
+                     peak_client, link, next_cold) = self._reload()
+                    # Placement may have changed under the GC's offload
+                    # trigger, but the allocation keeps its pre-GC site.
                     if client_live + size > capacity:
-                        # ---- spill / cold call / reload -----------------
-                        self._now = now
-                        self._client_live = client_live
-                        self._surrogate_live = surrogate_live
-                        self._allocs_since_gc = allocs_since_gc
-                        self._bytes_since_gc = bytes_since_gc
-                        self._last_reevaluation = last_reeval
-                        self._pending_edge = pend_pair
-                        self._pending_edge_bytes = pend_bytes
-                        self._pending_edge_count = pend_count
-                        result.cpu_time_client = cpu_client
-                        result.cpu_time_surrogate = cpu_surrogate
-                        result.comm_time = comm_time
-                        result.monitoring_time = monitoring_time
-                        result.remote_invocations = remote_invocations
-                        result.remote_native_invocations = remote_native
-                        result.remote_accesses = remote_accesses
-                        result.remote_bytes = remote_bytes
-                        result.events_processed = ep
-                        if peak_client > result.peak_client_bytes:
-                            result.peak_client_bytes = peak_client
-                        self._gc_cycle("space-exhausted")
-                        now = self._now
-                        client_live = self._client_live
-                        surrogate_live = self._surrogate_live
-                        allocs_since_gc = self._allocs_since_gc
-                        bytes_since_gc = self._bytes_since_gc
-                        last_reeval = self._last_reevaluation
-                        class_on_surrogate = self._class_on_surrogate
-                        pend_pair = self._pending_edge
-                        pend_bytes = self._pending_edge_bytes
-                        pend_count = self._pending_edge_count
-                        comm_time = result.comm_time
-                        peak_client = result.peak_client_bytes
-                        # Placement may have changed under the GC's
-                        # offload trigger, but the serial handler keeps
-                        # its pre-GC site decision — so does this one.
-                        if client_live + size > capacity:
-                            # OOM: like the serial handler's early
-                            # return, the rest of the handler is
-                            # skipped; the common post-event checks
-                            # below still run before the loop breaks.
-                            result.oom = True
-                            result.oom_time = now
-                            oom = True
-                    if not oom:
+                        # OOM: the allocation never happens; the
+                        # post-event checks below still run before the
+                        # loop breaks.
+                        result.oom = True
+                        result.oom_time = now
+                        oom = True
+                if not oom:
+                    if site == CLIENT_:
                         client_live += size
                         if client_live > peak_client:
                             peak_client = client_live
                         allocs_since_gc += 1
                         bytes_since_gc += size
-                else:
-                    surrogate_live += size
-                if not oom:
+                    else:
+                        surrogate_live += size
                     oid = a_oid[i]
                     acid = a_cls[i]
                     class_name = strings[acid]
@@ -1219,54 +1072,29 @@ class TraceReplayer:
                         )
                         monitoring_time += wall
                         now += wall
-                    # -- inline _maybe_gc ---------------------------------
+                    # The emulated collector's Chai trigger conditions.
                     if (capacity - client_live) / capacity < space_frac:
                         reason = "space-pressure"
                     elif allocs_since_gc >= allocs_per_cycle:
                         reason = "allocation-count"
                     elif bytes_since_gc >= bytes_per_cycle:
                         reason = "allocation-bytes"
-                    else:
-                        reason = None
-                else:
-                    reason = None
                 if reason is not None:
-                    # ---- spill / cold call / reload ---------------------
-                    self._now = now
-                    self._client_live = client_live
-                    self._surrogate_live = surrogate_live
-                    self._allocs_since_gc = allocs_since_gc
-                    self._bytes_since_gc = bytes_since_gc
-                    self._last_reevaluation = last_reeval
-                    self._pending_edge = pend_pair
-                    self._pending_edge_bytes = pend_bytes
-                    self._pending_edge_count = pend_count
-                    result.cpu_time_client = cpu_client
-                    result.cpu_time_surrogate = cpu_surrogate
-                    result.comm_time = comm_time
-                    result.monitoring_time = monitoring_time
-                    result.remote_invocations = remote_invocations
-                    result.remote_native_invocations = remote_native
-                    result.remote_accesses = remote_accesses
-                    result.remote_bytes = remote_bytes
-                    result.events_processed = ep
-                    if peak_client > result.peak_client_bytes:
-                        result.peak_client_bytes = peak_client
+                    self._spill(
+                        ep, now, client_live, surrogate_live,
+                        allocs_since_gc, bytes_since_gc, last_reeval,
+                        pend_pair, pend_bytes, pend_count, cpu_client,
+                        cpu_surrogate, comm_time, monitoring_time,
+                        remote_invocations, remote_native,
+                        remote_accesses, remote_bytes, peak_client,
+                    )
                     self._gc_cycle(reason)
-                    now = self._now
-                    client_live = self._client_live
-                    surrogate_live = self._surrogate_live
-                    allocs_since_gc = self._allocs_since_gc
-                    bytes_since_gc = self._bytes_since_gc
-                    last_reeval = self._last_reevaluation
-                    class_on_surrogate = self._class_on_surrogate
-                    pend_pair = self._pending_edge
-                    pend_bytes = self._pending_edge_bytes
-                    pend_count = self._pending_edge_count
-                    comm_time = result.comm_time
-                    peak_client = result.peak_client_bytes
+                    (now, client_live, surrogate_live, allocs_since_gc,
+                     bytes_since_gc, last_reeval, class_on_surrogate,
+                     pend_pair, pend_bytes, pend_count, comm_time,
+                     peak_client, link, next_cold) = self._reload()
             else:
-                # -- inline _replay_free (TAG_FREE) -----------------------
+                # TAG_FREE
                 oid = a_oid[i]
                 site = site_get(oid)
                 if site is None:
@@ -1282,127 +1110,96 @@ class TraceReplayer:
                     self._reclaim(oid)
                     client_live = self._client_live
                     surrogate_live = self._surrogate_live
-            # -- post-event checks (mirrors run()) ------------------------
+            # -- post-event checks ----------------------------------------
             ep += 1
-            if now >= next_roam:
-                # ---- spill / cold call / reload -------------------------
-                # The roam may migrate state, charge time, and change
-                # the link — which invalidates the wire-cost memos.
-                self._columnar_spill(
-                    ep, now, client_live, surrogate_live,
-                    allocs_since_gc, bytes_since_gc, last_reeval,
-                    pend_pair, pend_bytes, pend_count,
-                    cpu_client, cpu_surrogate, comm_time,
+            if now >= next_cold:
+                # A link-profile change point or a pending reattachment
+                # (one threshold, so clean runs pay one float compare).
+                self._spill(
+                    ep, now, client_live, surrogate_live, allocs_since_gc,
+                    bytes_since_gc, last_reeval, pend_pair, pend_bytes,
+                    pend_count, cpu_client, cpu_surrogate, comm_time,
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
                 )
-                self._poll_mobility()
-                now = self._now
-                client_live = self._client_live
-                surrogate_live = self._surrogate_live
-                last_reeval = self._last_reevaluation
-                class_on_surrogate = self._class_on_surrogate
-                pend_pair = self._pending_edge
-                pend_bytes = self._pending_edge_bytes
-                pend_count = self._pending_edge_count
-                comm_time = result.comm_time
-                peak_client = result.peak_client_bytes
-                link = self._link
-                next_roam = self._next_link_change
-                access_cost_memo.clear()
-                invoke_cost_memo.clear()
+                self._poll_clock()
+                (now, client_live, surrogate_live, allocs_since_gc,
+                 bytes_since_gc, last_reeval, class_on_surrogate, pend_pair,
+                 pend_bytes, pend_count, comm_time, peak_client, link,
+                 next_cold) = self._reload()
             if (
                 offload_at is not None
                 and ep == offload_at
                 and offload_enabled
             ):
-                self._columnar_offload(
-                    ep, now, client_live, surrogate_live,
-                    allocs_since_gc, bytes_since_gc, last_reeval,
-                    pend_pair, pend_bytes, pend_count,
-                    cpu_client, cpu_surrogate, comm_time,
+                self._spill(
+                    ep, now, client_live, surrogate_live, allocs_since_gc,
+                    bytes_since_gc, last_reeval, pend_pair, pend_bytes,
+                    pend_count, cpu_client, cpu_surrogate, comm_time,
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
                 )
-                now = self._now
-                client_live = self._client_live
-                surrogate_live = self._surrogate_live
-                last_reeval = self._last_reevaluation
-                class_on_surrogate = self._class_on_surrogate
-                pend_pair = self._pending_edge
-                pend_bytes = self._pending_edge_bytes
-                pend_count = self._pending_edge_count
-                comm_time = result.comm_time
-                peak_client = result.peak_client_bytes
+                self._attempt_offload()
+                (now, client_live, surrogate_live, allocs_since_gc,
+                 bytes_since_gc, last_reeval, class_on_surrogate, pend_pair,
+                 pend_bytes, pend_count, comm_time, peak_client, link,
+                 next_cold) = self._reload()
             if (
                 reevaluate_every is not None
                 and offload_enabled
                 and result.offload_count > 0
                 and now - last_reeval >= reevaluate_every
             ):
+                # Clock-driven re-evaluation (global-placement mode):
+                # checked against virtual time on every event, because
+                # after an offload the client may stop allocating (and
+                # hence stop collecting) entirely.
                 last_reeval = now
-                self._columnar_offload(
-                    ep, now, client_live, surrogate_live,
-                    allocs_since_gc, bytes_since_gc, last_reeval,
-                    pend_pair, pend_bytes, pend_count,
-                    cpu_client, cpu_surrogate, comm_time,
+                self._spill(
+                    ep, now, client_live, surrogate_live, allocs_since_gc,
+                    bytes_since_gc, last_reeval, pend_pair, pend_bytes,
+                    pend_count, cpu_client, cpu_surrogate, comm_time,
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
-                    reevaluation=True,
                 )
-                now = self._now
-                client_live = self._client_live
-                surrogate_live = self._surrogate_live
-                last_reeval = self._last_reevaluation
-                class_on_surrogate = self._class_on_surrogate
-                pend_pair = self._pending_edge
-                pend_bytes = self._pending_edge_bytes
-                pend_count = self._pending_edge_count
-                comm_time = result.comm_time
-                peak_client = result.peak_client_bytes
+                self._attempt_offload(reevaluation=True)
+                (now, client_live, surrogate_live, allocs_since_gc,
+                 bytes_since_gc, last_reeval, class_on_surrogate, pend_pair,
+                 pend_bytes, pend_count, comm_time, peak_client, link,
+                 next_cold) = self._reload()
             if oom:
                 break
-        # -- final spill ------------------------------------------------------
-        self._now = now
-        self._client_live = client_live
-        self._surrogate_live = surrogate_live
-        self._allocs_since_gc = allocs_since_gc
-        self._bytes_since_gc = bytes_since_gc
-        self._last_reevaluation = last_reeval
-        self._pending_edge = pend_pair
-        self._pending_edge_bytes = pend_bytes
-        self._pending_edge_count = pend_count
-        result.cpu_time_client = cpu_client
-        result.cpu_time_surrogate = cpu_surrogate
-        result.comm_time = comm_time
-        result.monitoring_time = monitoring_time
-        result.remote_invocations = remote_invocations
-        result.remote_native_invocations = remote_native
-        result.remote_accesses = remote_accesses
-        result.remote_bytes = remote_bytes
-        result.events_processed = ep
-        if peak_client > result.peak_client_bytes:
-            result.peak_client_bytes = peak_client
+        self._spill(
+            ep, now, client_live, surrogate_live, allocs_since_gc,
+            bytes_since_gc, last_reeval, pend_pair, pend_bytes, pend_count,
+            cpu_client, cpu_surrogate, comm_time, monitoring_time,
+            remote_invocations, remote_native, remote_accesses,
+            remote_bytes, peak_client,
+        )
         return self._finish_run()
 
-    def _columnar_offload(
-        self, ep, now, client_live, surrogate_live, allocs_since_gc,
-        bytes_since_gc, last_reeval, pend_pair, pend_bytes, pend_count,
-        cpu_client, cpu_surrogate, comm_time, monitoring_time,
-        remote_invocations, remote_native, remote_accesses, remote_bytes,
-        peak_client, reevaluation=False,
-    ) -> None:
-        """Spill hoisted loop state and run one partitioning attempt."""
-        self._columnar_spill(
-            ep, now, client_live, surrogate_live, allocs_since_gc,
-            bytes_since_gc, last_reeval, pend_pair, pend_bytes,
-            pend_count, cpu_client, cpu_surrogate, comm_time,
-            monitoring_time, remote_invocations, remote_native,
-            remote_accesses, remote_bytes, peak_client,
-        )
-        self._attempt_offload(reevaluation=reevaluation)
+    def _finish_run(self) -> EmulationResult:
+        """Close out a replay."""
+        self._flush_interactions()
+        if self._coalescer is not None:
+            self._coalescer.flush()
+        if self._lost_at is not None:
+            # The run ended in degraded mode: close the downtime window.
+            self._fault_report.downtime_s += self._now - self._lost_at
+            self._lost_at = None
+        if self.config.faults is not None:
+            self._fault_report.epochs_survived = self.result.offload_count
+            self.result.faults = self._fault_report
+        if self._mobility_report is not None:
+            self.result.mobility = self._mobility_report
+        self.result.completed = not self.result.oom
+        self.result.total_time = self._now
+        self.result.final_offload_nodes = self._offloaded
+        self.result.reeval = self._session.stats
+        self.result.data_plane = self._dp_stats
+        return self.result
 
-    def _columnar_spill(
+    def _spill(
         self, ep, now, client_live, surrogate_live, allocs_since_gc,
         bytes_since_gc, last_reeval, pend_pair, pend_bytes, pend_count,
         cpu_client, cpu_surrogate, comm_time, monitoring_time,
@@ -1411,11 +1208,12 @@ class TraceReplayer:
     ) -> None:
         """Write the batched loop's hoisted state back to the instance.
 
-        The batched loop keeps replayer state in locals; this helper
-        writes it back so a cold call (:meth:`_attempt_offload`,
-        :meth:`_poll_mobility`, and everything they reach) observes the
-        exact state the serial loop would, then the caller reloads what
-        the call may have changed.
+        The loop keeps replayer state in locals; this writes it back so
+        a cold call (:meth:`_gc_cycle`, :meth:`_attempt_offload`,
+        :meth:`_poll_clock`, a fault-gauntlet exchange, and everything
+        they reach) observes the state as of the current event, then
+        the loop re-hoists what the call may have changed with
+        :meth:`_reload`.
         """
         result = self.result
         self._now = now
@@ -1439,47 +1237,77 @@ class TraceReplayer:
             result.peak_client_bytes = peak_client
         result.events_processed = ep
 
+    def _reload(self) -> tuple:
+        """The loop state a cold call may have changed, for the batched
+        loop to re-hoist after :meth:`_spill` and the call.
+
+        The last item is the loop's cold threshold: the next
+        link-profile change point or, after a partition killed the
+        surrogate, its reattachment time — whichever comes first.
+        """
+        next_cold = self._next_link_change
+        reattach = self._reattach_at
+        if reattach is not None and reattach < next_cold:
+            next_cold = reattach
+        return (
+            self._now, self._client_live, self._surrogate_live,
+            self._allocs_since_gc, self._bytes_since_gc,
+            self._last_reevaluation, self._class_on_surrogate,
+            self._pending_edge, self._pending_edge_bytes,
+            self._pending_edge_count, self.result.comm_time,
+            self.result.peak_client_bytes, self._link, next_cold,
+        )
+
+    def _poll_clock(self) -> None:
+        """The clock crossed the loop's cold threshold: re-resolve the
+        link at a profile change point, then reattach a surrogate whose
+        partition has healed (in that order)."""
+        if self._now >= self._next_link_change:
+            self._poll_mobility()
+        if (
+            self._reattach_at is not None
+            and self._surrogate_dead
+            and self._now >= self._reattach_at
+        ):
+            self._rediscover()
+
+    def _remote_access(self, accessor_site: str, owner_site: str,
+                       nbytes: int, is_write: int) -> bool:
+        """One uncached remote access through the coalescer or, under
+        fault injection, one exchange through the retry ladder (the
+        clean uncoalesced case is priced inline by the loop).
+
+        ``False``: the surrogate died under the exchange (recovery has
+        already run) and the access resolves locally, uncharged.  A
+        coalesced access always counts: its batch's legs run the fault
+        gauntlet when they travel.
+        """
+        if self._coalescer is not None:
+            if is_write:
+                self._coalescer.write(accessor_site, owner_site, nbytes)
+            else:
+                self._coalescer.read(accessor_site, owner_site, nbytes)
+            return True
+        if not self._exchange():
+            return False
+        self._charge_comm(remote_access_cost(self._link, nbytes,
+                                             bool(is_write)))
+        return True
+
+    def _remote_invoke(self, caller_site: str, exec_site: str,
+                       arg_bytes: int, ret_bytes: int) -> bool:
+        """One remote invocation (see :meth:`_remote_access`)."""
+        if self._coalescer is not None:
+            self._coalescer.invoke(caller_site, exec_site, arg_bytes,
+                                   ret_bytes)
+            return True
+        if not self._exchange():
+            return False
+        self._charge_comm(remote_invoke_cost(self._link, arg_bytes,
+                                             ret_bytes))
+        return True
+
     # -- allocation and the emulated collector -------------------------------------
-
-    def _replay_alloc(self, event: AllocEvent) -> None:
-        site = self._class_site(event.creator_class)
-        if site == CLIENT:
-            capacity = self.config.client.heap_capacity
-            if self._client_live + event.size > capacity:
-                self._gc_cycle("space-exhausted")
-                if self._client_live + event.size > capacity:
-                    self.result.oom = True
-                    self.result.oom_time = self._now
-                    return
-            self._client_live += event.size
-            if self._client_live > self.result.peak_client_bytes:
-                self.result.peak_client_bytes = self._client_live
-            self._allocs_since_gc += 1
-            self._bytes_since_gc += event.size
-        else:
-            self._surrogate_live += event.size
-        self._site[event.oid] = site
-        self._size[event.oid] = event.size
-        self._class[event.oid] = event.class_name
-        node = self._node_for(event.class_name, event.oid)
-        self.graph.add_memory(node, event.size)
-        self.graph.note_object_created(node)
-        # The creating class is part of the execution picture even if no
-        # interaction has referenced it yet.
-        self.graph.ensure_node(event.creator_class)
-        self._charge_monitoring(site)
-        self._maybe_gc()
-
-    def _replay_free(self, event: FreeEvent) -> None:
-        site = self._site.get(event.oid)
-        if site is None:
-            return
-        if site == CLIENT:
-            # Client garbage waits for an emulated collection cycle.
-            self._pending_garbage.append(event.oid)
-            self._pending_garbage_bytes += self._size[event.oid]
-        else:
-            self._reclaim(event.oid)
 
     def _reclaim(self, oid: int) -> None:
         site = self._site.pop(oid, None)
@@ -1498,16 +1326,6 @@ class TraceReplayer:
         if self.graph.has_node(node):
             self.graph.add_memory(node, -size)
             self.graph.note_object_freed(node)
-
-    def _maybe_gc(self) -> None:
-        capacity = self.config.client.heap_capacity
-        free_fraction = (capacity - self._client_live) / capacity
-        if free_fraction < self.config.gc.space_pressure_fraction:
-            self._gc_cycle("space-pressure")
-        elif self._allocs_since_gc >= self.config.gc.allocations_per_cycle:
-            self._gc_cycle("allocation-count")
-        elif self._bytes_since_gc >= self.config.gc.bytes_per_cycle:
-            self._gc_cycle("allocation-bytes")
 
     def _gc_cycle(self, reason: str) -> None:
         if self._coalescer is not None:
@@ -1712,107 +1530,3 @@ class TraceReplayer:
             # than chase which owners moved.
             self._cache.invalidate_all()
         return moved_bytes, moved_objects
-
-    # -- interactions ------------------------------------------------------------
-
-    def _invoke_sites(self, event: InvokeEvent) -> Tuple[str, str]:
-        caller_site = self._site_for(event.caller_class, event.caller_oid)
-        if event.is_native:
-            if event.stateless and self.config.flags.stateless_natives_local:
-                exec_site = caller_site
-            else:
-                exec_site = CLIENT
-        elif event.is_static:
-            exec_site = caller_site
-        else:
-            exec_site = self._site_for(event.callee_class, event.callee_oid)
-        return caller_site, exec_site
-
-    def _replay_invoke(self, event: InvokeEvent) -> None:
-        caller_site, exec_site = self._invoke_sites(event)
-        remote = exec_site != caller_site
-        nbytes = event.arg_bytes + event.ret_bytes
-        if remote and self._coalescer is None and not self._exchange():
-            # The surrogate died under this round trip: recovery has
-            # repatriated everything, so the invocation is local now.
-            caller_site, exec_site = self._invoke_sites(event)
-            remote = exec_site != caller_site
-        if remote:
-            if self._coalescer is not None:
-                # Control transfers: the invoke closes its batch, and
-                # any buffered writes piggyback on its request leg.
-                self._coalescer.invoke(caller_site, exec_site,
-                                       event.arg_bytes, event.ret_bytes)
-            else:
-                self._charge_comm(remote_invoke_cost(
-                    self._link, event.arg_bytes, event.ret_bytes
-                ))
-            self.result.remote_invocations += 1
-            self.result.remote_bytes += nbytes
-            if event.is_native:
-                self.result.remote_native_invocations += 1
-        caller_node = self._node_for(event.caller_class, event.caller_oid)
-        callee_node = self._node_for(event.callee_class, event.callee_oid)
-        self._record_interaction(caller_node, callee_node, nbytes)
-        self._charge_monitoring(exec_site)
-
-    def _replay_access(self, event: AccessEvent) -> None:
-        accessor_site = self._site_for(event.accessor_class,
-                                       event.accessor_oid)
-        if event.is_static:
-            owner_site = CLIENT
-        else:
-            owner_site = self._site_for(event.owner_class, event.owner_oid)
-        remote = owner_site != accessor_site
-        if self._cache is not None and event.is_write:
-            # Any write (local or remote) makes a cached copy on the
-            # other site stale.
-            key = self._cache_key(event)
-            if key is not None:
-                self._cache.invalidate(key)
-        if remote:
-            cached = False
-            if self._cache is not None and not event.is_write:
-                key = self._cache_key(event)
-                cached = key is not None and self._cache.note_read(key)
-            lost = (
-                not cached
-                and self._coalescer is None
-                and not self._exchange()
-            )
-            if lost:
-                # Surrogate lost mid-access: recovery has repatriated
-                # the owner, so the access completes locally, uncharged.
-                remote = False
-                owner_site = self._site_for(event.owner_class,
-                                            event.owner_oid)
-            if cached or lost:
-                # Served from the reading site's copy (or resolved
-                # locally after recovery): no round trip, zero bytes on
-                # the wire — a local read, cost-wise.
-                pass
-            elif self._coalescer is not None:
-                if event.is_write:
-                    self._coalescer.write(accessor_site, owner_site,
-                                          event.nbytes)
-                else:
-                    self._coalescer.read(accessor_site, owner_site,
-                                         event.nbytes)
-                self.result.remote_accesses += 1
-                self.result.remote_bytes += event.nbytes
-            else:
-                self._charge_comm(remote_access_cost(
-                    self._link, event.nbytes, event.is_write
-                ))
-                self.result.remote_accesses += 1
-                self.result.remote_bytes += event.nbytes
-        accessor_node = self._node_for(event.accessor_class,
-                                       event.accessor_oid)
-        owner_node = self._node_for(event.owner_class, event.owner_oid)
-        self._record_interaction(accessor_node, owner_node, event.nbytes)
-        self._charge_monitoring(owner_site)
-
-    def _replay_work(self, event: WorkEvent) -> None:
-        site = self._site_for(event.class_name, event.oid)
-        self._charge_cpu(site, event.seconds)
-        self.graph.add_cpu(event.class_name, event.seconds)

@@ -157,3 +157,21 @@ def load_any(path: Union[str, Path]):
         from .columnar import read_ctrace
         return read_ctrace(path)
     return Trace.load(path)
+
+
+def save_any(trace, path: Union[str, Path]) -> str:
+    """Write either trace representation in the format ``path``'s
+    suffix declares (the inverse of :func:`load_any`).
+
+    Returns the format written: ``"columnar"`` for ``.ctrace``,
+    ``"jsonl"`` otherwise (gzipped under ``.gz``).
+    """
+    from .columnar import ColumnarTrace, write_ctrace
+
+    if Path(path).suffix == ".ctrace":
+        write_ctrace(trace, path)
+        return "columnar"
+    if isinstance(trace, ColumnarTrace):
+        trace = trace.to_trace()
+    trace.save(path)
+    return "jsonl"

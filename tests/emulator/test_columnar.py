@@ -21,7 +21,7 @@ from repro.emulator.events import (
     InvokeEvent,
     WorkEvent,
 )
-from repro.emulator.traces import Trace
+from repro.emulator.traces import Trace, load_any, save_any
 from repro.errors import TraceFormatError
 
 CLASS_NAMES = st.sampled_from(
@@ -141,6 +141,25 @@ class TestRoundTrip:
     def test_negative_oid_rejected(self):
         with pytest.raises(TraceFormatError, match="non-negative"):
             ColumnarTrace.from_trace(build_trace([FreeEvent(-3)]))
+
+    def test_append_after_decode_refreshes_the_decoded_view(self):
+        columnar = ColumnarTrace.from_trace(sample_trace())
+        decoded = len(columnar.column_lists()["tags"])
+        columnar.append(FreeEvent(9))
+        assert len(columnar.column_lists()["tags"]) == decoded + 1
+        assert rows(columnar.to_trace())[-1] == ["F", 9]
+
+    @pytest.mark.parametrize("name, kind", [
+        ("t.ctrace", "columnar"), ("t.trace", "jsonl"),
+        ("t.trace.gz", "jsonl"),
+    ])
+    def test_save_any_writes_what_the_suffix_asks_for(self, tmp_path,
+                                                      name, kind):
+        path = tmp_path / name
+        assert save_any(ColumnarTrace.from_trace(sample_trace()),
+                        path) == kind
+        loaded = ColumnarTrace.from_trace(load_any(path))
+        assert rows(loaded.to_trace()) == rows(sample_trace())
 
     def test_pinned_classes_match_row_trace(self):
         trace = sample_trace()

@@ -17,6 +17,8 @@ from repro.net.mobility import (
     MobilityConfig,
 )
 
+from tests.emulator.reference_replay import ReferenceReplayer
+
 ROAM = "step=0:wavelan,ramp=4:8:wavelan:wan,step=16:wavelan"
 DECAY = "step=0:wavelan,step=4:wan"
 # Recovery at t=7: repatriation slows the tail to client speed, so the
@@ -145,7 +147,7 @@ class TestDeterminism:
         config = base_config(trace).with_profile(
             profile, MobilityConfig(mode=mode)
         )
-        serial = TraceReplayer(trace, config).run()
+        serial = ReferenceReplayer(trace, config).run()
         columnar = TraceReplayer(
             ColumnarTrace.from_trace(trace), config
         ).run()

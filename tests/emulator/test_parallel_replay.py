@@ -1,9 +1,10 @@
 """Sharded multi-core replay: determinism, parity, and the merge rules.
 
-The columnar batched loop and the sharded replayer are performance
-paths, not semantic ones: replaying dia or javanote serially (event
-objects), columnar (batched dispatch), or sharded (process pool) must
-produce bit-identical fingerprints, with the data plane on or off.
+The batched columnar loop and the sharded replayer are performance
+paths, not semantic ones: replaying dia or javanote through the
+per-event reference interpreter (event objects), the batched loop, or
+sharded (process pool) must produce bit-identical fingerprints, with
+the data plane on or off.
 """
 
 import dataclasses
@@ -24,6 +25,8 @@ from repro.experiments import cached_trace, memory_emulator_config
 from repro.experiments.exp_overhead import MEMORY_WORKLOADS
 from repro.rpc.batch import DataPlaneConfig
 
+from tests.emulator.reference_replay import ReferenceReplayer
+
 APPS = ["dia", "javanote"]
 
 
@@ -39,8 +42,8 @@ def config_with_plane(label):
 
 @pytest.fixture(scope="module")
 def fingerprints():
-    """Serial / columnar fingerprints per (app, plane) — replays
-    dominate test time, so compute each exactly once."""
+    """Reference ("serial") / batched ("columnar") fingerprints per
+    (app, plane) — replays dominate test time, so compute each once."""
     table = {}
     for app in APPS:
         trace = trace_for(app)
@@ -48,7 +51,7 @@ def fingerprints():
         for label in ("off", "on"):
             config = config_with_plane(label)
             table[(app, label, "serial")] = (
-                TraceReplayer(trace, config).run().fingerprint())
+                ReferenceReplayer(trace, config).run().fingerprint())
             table[(app, label, "columnar")] = (
                 TraceReplayer(columnar, config).run().fingerprint())
     return table

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.emulator.columnar import ColumnarTrace
 from repro.emulator.events import (
     AccessEvent,
     AllocEvent,
@@ -55,6 +56,14 @@ class TestRecording:
         kinds = {type(e) for e in trace}
         assert {AllocEvent, FreeEvent, InvokeEvent, AccessEvent,
                 WorkEvent} <= kinds
+
+    def test_recorder_writes_columnar_directly(self, trace):
+        # The recorder encodes through the same per-kind encoder as a
+        # conversion of its row twin: identical columns, no second copy.
+        assert isinstance(trace, ColumnarTrace)
+        twin = ColumnarTrace.from_trace(trace.to_trace())
+        assert twin.strings == trace.strings
+        assert twin.column_lists() == trace.column_lists()
 
     def test_app_name_captured(self, trace):
         assert trace.app_name == "tiny"

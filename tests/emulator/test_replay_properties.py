@@ -17,7 +17,11 @@ from repro.emulator.events import (
 )
 from repro.emulator.replay import EmulatorConfig, TraceReplayer
 from repro.emulator.traces import Trace
+from repro.net.faults import FaultSpec
+from repro.rpc.batch import DataPlaneConfig
 from repro.units import KB
+
+from tests.emulator.reference_replay import ReferenceReplayer
 
 CLASSES = ("app.A", "app.B", "app.C", "ui.Pinned")
 
@@ -140,3 +144,18 @@ class TestReplayProperties:
             assert result.events_processed == len(trace)
         else:
             assert result.events_processed <= len(trace)
+
+    @given(random_traces(), st.integers(0, 2**16),
+           st.one_of(st.none(), st.integers(0, 60)), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_batched_loop_matches_reference_under_faults(
+            self, trace, seed, crash_at, plane):
+        faults = FaultSpec(seed=seed, loss_rate=0.2, crash_at_event=crash_at)
+        cfg = dataclasses.replace(
+            config(), faults=faults,
+            data_plane=(DataPlaneConfig.enabled() if plane
+                        else DataPlaneConfig.off()),
+        )
+        batched = TraceReplayer(trace, cfg).run()
+        reference = ReferenceReplayer(trace, cfg).run()
+        assert batched.fingerprint() == reference.fingerprint()

@@ -174,12 +174,25 @@ class TestShardedReplayCli:
         assert main(["fleet", "run", "--surrogates", "0"]) == 2
         assert "bad fleet configuration" in capsys.readouterr().err
 
-    def test_format_ctrace_matches_serial_replay(self, capsys):
-        assert main(["replay", "dia"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["replay", "dia", "--format", "ctrace"]) == 0
-        columnar = capsys.readouterr().out
-        assert serial == columnar
+    def test_record_suffix_picks_format_and_replays_identically(
+            self, tmp_path, capsys):
+        from repro.emulator import Trace, read_ctrace
+
+        jsonl = str(tmp_path / "dia.trace")
+        ctrace = str(tmp_path / "dia.ctrace")
+        assert main(["record", "dia", jsonl]) == 0
+        assert main(["record", "dia", ctrace]) == 0
+        assert len(Trace.load(jsonl)) == len(read_ctrace(ctrace))
+        capsys.readouterr()
+        assert main(["replay", jsonl]) == 0
+        from_jsonl = capsys.readouterr().out
+        assert main(["replay", ctrace]) == 0
+        assert capsys.readouterr().out == from_jsonl
+
+    def test_replay_has_no_trace_format_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["replay", "dia", "--format", "ctrace"])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestFaultInjectionCli:

@@ -47,12 +47,18 @@ DEFAULT_TARGETS = (
     "src/repro/emulator/fleet.py",
     "src/repro/emulator/parallel.py",
     "src/repro/emulator/columnar.py",
+    "src/repro/emulator/replay.py",
+    "src/repro/emulator/recorder.py",
     "src/repro/rpc/marshal.py",
     "src/repro/core/mincut.py",
     "src/repro/core/flatgraph.py",
     "src/repro/core/partitioner.py",
     "src/repro/net/mobility.py",
     "src/repro/platform/migration.py",
+    "src/repro/net/faults.py",
+    "src/repro/rpc/retry.py",
+    "src/repro/rpc/batch.py",
+    "src/repro/rpc/cache.py",
 )
 
 SUPPRESS_MARKER = "detlint: allow"
