@@ -16,7 +16,6 @@ with Chai's trigger conditions.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
@@ -30,12 +29,12 @@ from ..core.partitioner import (
     ReevalStats,
 )
 from ..core.policy import (
-    BandwidthTrendTrigger,
     EvaluationContext,
     MemoryTrigger,
     OffloadPolicy,
     PartitionPolicy,
 )
+from ..core.reaction import ReactionController, ReactionSite
 from ..errors import ConfigurationError
 from ..net.faults import FaultReport, FaultSchedule, FaultSpec
 from ..net.link import LinkModel
@@ -43,7 +42,7 @@ from ..net.mobility import LinkProfile, MobilityConfig, MobilityReport
 from ..net.wavelan import WAVELAN_11MBPS
 from ..rpc.batch import DataPlaneConfig, DataPlaneStats, RpcCoalescer
 from ..rpc.cache import RemoteReadCache
-from ..rpc.retry import ReliableDelivery, RetryPolicy
+from ..rpc.retry import RetryPolicy
 from ..vm.gc import GCReport, default_pause_model
 from .columnar import (
     ColumnarTrace,
@@ -269,7 +268,7 @@ class EmulationResult:
         return json.dumps(data, sort_keys=True, default=encode)
 
 
-class TraceReplayer:
+class TraceReplayer(ReactionSite):
     """Replays one trace under one configuration.
 
     Replays run through one batched loop over a
@@ -319,42 +318,32 @@ class TraceReplayer:
         )
         self._pinned_cache: Optional[List[str]] = None
         self._last_reevaluation = 0.0
+        # Fault recovery and mobility (repro.core.reaction): a fresh
+        # seeded schedule per replayer, so equal configs draw identical
+        # fault streams.  Cost sites read ``reactions.link``, which
+        # tracks a link profile, never ``config.link``.
+        spec = config.faults
+        self.reactions = ReactionController(
+            self, config.link,
+            faults=spec,
+            schedule=(FaultSchedule(spec)
+                      if spec is not None and spec.any_faults else None),
+            retry=config.retry,
+            charge=self._charge_fault,
+            events=lambda: self.result.events_processed,
+            link_profile=config.link_profile,
+            mobility=config.mobility,
+        )
         # Cross-site data plane: coalescer and remote-read cache are
         # created only when enabled, so the naive path stays on the
         # exact pre-optimisation code (bit-identical accounting).
-        # The link in force *now*.  Static runs never reassign it; under
-        # a link profile it tracks the schedule (every cost site reads
-        # this attribute, never ``config.link``).
-        profile = config.link_profile
-        self._link: LinkModel = (
-            profile.link_at(0.0) if profile is not None else config.link
-        )
-        self._epoch_start = 0.0
-        self._next_link_change = (
-            profile.next_change_after(0.0) if profile is not None
-            else math.inf
-        )
-        self._pending_reoffload: Optional[FrozenSet[str]] = None
-        self._mobility_report: Optional[MobilityReport] = (
-            MobilityReport(profile=profile.name)
-            if profile is not None else None
-        )
-        self._trend: Optional[BandwidthTrendTrigger] = None
-        if profile is not None and config.mobility is not None:
-            mob = config.mobility
-            self._trend = BandwidthTrendTrigger(
-                mob.threshold_bps,
-                horizon_s=mob.horizon_s,
-                window=mob.window,
-                restore_bps=mob.restore_bps,
-            )
         dp = config.data_plane
         self._dp_stats = DataPlaneStats() if dp.any_enabled else None
         self._cache = RemoteReadCache() if dp.read_cache else None
         if self._cache is not None:
             self._dp_stats.cache = self._cache.stats
         self._coalescer = (
-            RpcCoalescer(self._link, self._transfer_one_way,
+            RpcCoalescer(self.reactions.link, self._transfer_one_way,
                          stats=self._dp_stats)
             if dp.coalescing else None
         )
@@ -365,30 +354,6 @@ class TraceReplayer:
         # accounting bit-identical.  A link switch drops them.
         self._access_cost_memo: Dict[Tuple[int, int], float] = {}
         self._invoke_cost_memo: Dict[Tuple[int, int], float] = {}
-        # Fault injection: a fresh seeded schedule per replayer, so two
-        # replays of one config draw identical fault streams.
-        spec = config.faults
-        self._fault_report = FaultReport(
-            spec=spec.canonical() if spec is not None else ""
-        )
-        self._schedule = (
-            FaultSchedule(spec)
-            if spec is not None and spec.any_faults else None
-        )
-        self._delivery = (
-            ReliableDelivery(
-                config.retry,
-                schedule=self._schedule,
-                charge=self._charge_fault,
-                counters=self._fault_report,
-                now=lambda: self._now,
-                events=lambda: self.result.events_processed,
-                on_peer_lost=self._declare_surrogate_dead,
-            )
-            if self._schedule is not None else None
-        )
-        self._lost_at: Optional[float] = None
-        self._reattach_at: Optional[float] = None
         granular = config.flags.arrays_object_granularity
         self._granular_classes: Set[str] = {INT_ARRAY} if granular else set()
         # Run-length buffer for graph edge updates: consecutive
@@ -463,9 +428,8 @@ class TraceReplayer:
         declared dead under this exchange and recovery has already run;
         the operation resolves locally.
         """
-        if self._delivery is None:
-            return True
-        return self._delivery.attempt()
+        delivery = self.reactions.delivery
+        return delivery is None or delivery.attempt()
 
     def _transfer_one_way(self, from_site: str, to_site: str,
                           nbytes: int) -> None:
@@ -473,174 +437,76 @@ class TraceReplayer:
         if not self._exchange():
             # The batch died with the surrogate: its legs never travel.
             return
-        self._charge_comm(self._link.one_way(nbytes))
+        self._charge_comm(self.reactions.link.one_way(nbytes))
 
-    # -- surrogate death and rediscovery -------------------------------------
+    # -- the reaction controller's site (see repro.core.reaction) -------------
 
     @property
-    def _surrogate_dead(self) -> bool:
-        return self._delivery is not None and self._delivery.peer_dead
+    def elapsed(self) -> float:
+        return self._now
 
-    def _declare_surrogate_dead(self, reason: str) -> None:
-        """Graceful degradation, invoked from inside the failed exchange.
-
-        Drains the in-flight coalesced batch, drops the read cache, and
-        reconstructs every surrogate-resident object client-side from
-        the replayer's own bookkeeping — zero wire charge, the wire is
-        gone.  Afterwards the run is a client-only monolith until (and
-        unless) the surrogate is rediscovered.
-        """
-        report = self._fault_report
-        report.recoveries += 1
-        self._lost_at = self._now
+    def drop_in_flight(self) -> None:
         if self._coalescer is not None:
             self._coalescer.drop_pending()
+
+    def invalidate_reads(self) -> None:
         if self._cache is not None:
             self._cache.invalidate_all()
-        repatriated = 0
-        repatriated_bytes = 0
+
+    def repatriate_unreachable(self) -> Tuple[int, int]:
+        objects = nbytes = 0
         for oid, site in self._site.items():
             if site == SURROGATE:
                 size = self._size[oid]
                 self._site[oid] = CLIENT
                 self._client_live += size
                 self._surrogate_live -= size
-                repatriated += 1
-                repatriated_bytes += size
-        report.objects_repatriated += repatriated
-        report.repatriated_bytes += repatriated_bytes
+                objects += 1
+                nbytes += size
+        return objects, nbytes
+
+    def forget_surrogate(self) -> None:
         self._offloaded = frozenset()
         self._class_on_surrogate = set()
         if self._client_live > self.result.peak_client_bytes:
             self.result.peak_client_bytes = self._client_live
-        if reason == "partition":
-            # A partition-caused death heals when the window ends:
-            # model rediscovery of the (unchanged) surrogate then.
-            until = self._schedule.partition_until(self._now)
-            if until is not None:
-                self._reattach_at = until
 
-    def _rediscover(self) -> None:
-        """The surrogate is reachable again: leave degraded mode.
-
-        Closes the downtime window, revives the delivery layer, and
-        warm-starts a fresh partitioning epoch from the incremental
-        session — the graph kept growing while degraded, so the new
-        MINCUT starts warm, not cold.
-        """
-        report = self._fault_report
-        if self._lost_at is not None:
-            report.downtime_s += self._now - self._lost_at
-            self._lost_at = None
-        self._reattach_at = None
-        self._delivery.revive()
-        report.rediscoveries += 1
+    def warm_offload(self) -> None:
         if self.config.offload_enabled:
             self._attempt_offload()
 
-    # -- mobility: the scheduled link and the reactions to its decay ----------
-
-    def _poll_mobility(self) -> None:
-        """The clock crossed a profile change point: re-resolve the link.
-
-        Bandwidth/latency segments resolve relative to the attachment
-        epoch (a handoff resets it — the client is adjacent to the new
-        surrogate again); disconnection windows live in the fault spec
-        and are the retry layer's problem, not this method's.
-        """
-        profile = self.config.link_profile
-        report = self._mobility_report
-        self._switch_link(profile.link_at(self._now - self._epoch_start))
-        self._next_link_change = self._epoch_start + profile.next_change_after(
-            self._now - self._epoch_start
-        )
-        if self._trend is None:
-            return
-        action = self._trend.observe(self._now, self._link.bandwidth_bps)
-        if action == "fire":
-            report.trend_fires += 1
-            if self.config.mobility.mode == "handoff":
-                self._roam_handoff()
-            else:
-                self._proactive_repatriation()
-        elif action == "recover":
-            self._reoffload_after_recovery()
-
-    def _switch_link(self, new_link: LinkModel) -> None:
-        """Move every cost site onto ``new_link`` (no-op if unchanged)."""
-        if new_link == self._link:
-            return
+    def use_link(self, link: LinkModel) -> None:
         if self._coalescer is not None:
-            # Buffered traffic was produced under the old link; charge
-            # it at old-link prices before switching.
             self._coalescer.flush()
-            self._coalescer.link = new_link
-        self._link = new_link
+            self._coalescer.link = link
         self._access_cost_memo.clear()
         self._invoke_cost_memo.clear()
-        self._mobility_report.link_changes += 1
 
-    def _roam_handoff(self) -> None:
-        """Hand the offloaded partition to a better-placed surrogate.
-
-        The state streams surrogate-to-surrogate over the mobility
-        backhaul; residency does not change (the new surrogate replaces
-        the old transparently) and nothing transits the client's
-        wireless hop.  The attachment epoch restarts: the profile's
-        decay schedule runs again from its t=0 link.
-        """
+    def roam(self, backhaul: LinkModel) -> bool:
+        # The replacement surrogate takes over transparently: residency
+        # does not change, and nothing transits the wireless hop.
         if not self._exchange():
-            # The old surrogate died under the handoff stream; recovery
-            # has already repatriated everything.
-            return
-        report = self._mobility_report
-        total_bytes = 0
-        count = 0
+            return False
+        total_bytes = count = 0
         for oid, site in self._site.items():
             if site == SURROGATE:
                 total_bytes += self._size[oid]
                 count += 1
+        wire, duration = 0, 0.0
         if count:
             wire = migration_payload(total_bytes, count)
-            backhaul = self.config.mobility.backhaul
             duration = migration_cost(backhaul, total_bytes, count)
             self.result.migration_bytes += wire
             self.result.migration_time += duration
             self._now += duration
-            report.handoff_bytes += wire
-            report.handoff_time_s += duration
-        report.handoffs += 1
-        self._epoch_start = self._now
-        profile = self.config.link_profile
-        self._switch_link(profile.link_at(0.0))
-        self._next_link_change = (
-            self._now + profile.next_change_after(0.0)
-        )
-        if self._trend is not None:
-            # The new attachment starts clean: old decay samples would
-            # otherwise project the previous cell's slope onto it.
-            self._trend.reset()
+        self.reactions.handed_off(wire, duration)
+        return True
 
-    def _proactive_repatriation(self) -> None:
-        """Pull the offloaded partition home while the link still works,
-        remembering it for re-offload when the trend recovers."""
-        if not self._offloaded:
-            return
-        placement = self._offloaded
-        moved_bytes, _ = self._apply_placement(frozenset())
-        self._pending_reoffload = placement
-        report = self._mobility_report
-        report.proactive_repatriations += 1
-        report.proactively_repatriated_bytes += moved_bytes
+    def offloaded_nodes(self) -> FrozenSet[str]:
+        return self._offloaded
 
-    def _reoffload_after_recovery(self) -> None:
-        """The link came back: re-apply the remembered placement."""
-        placement = self._pending_reoffload
-        if placement is None or self._surrogate_dead:
-            return
-        self._pending_reoffload = None
-        self._apply_placement(placement)
-        self._mobility_report.reoffloads += 1
+    def place(self, offload_nodes: FrozenSet[str]) -> int:
+        return self._apply_placement(offload_nodes)[0]
 
     # -- the replay loop ------------------------------------------------------
 
@@ -685,7 +551,7 @@ class TraceReplayer:
         # Under fault injection every remote exchange runs the retry
         # ladder, which may charge time or kill the surrogate: those
         # exchanges become cold calls with a full spill around them.
-        faulty = self._delivery is not None
+        faulty = self.reactions.delivery is not None
 
         # String-id tables: mkind comparisons and node naming become
         # integer work.  Ids that cannot occur compare unequal to every
@@ -1113,8 +979,9 @@ class TraceReplayer:
             # -- post-event checks ----------------------------------------
             ep += 1
             if now >= next_cold:
-                # A link-profile change point or a pending reattachment
-                # (one threshold, so clean runs pay one float compare).
+                # The reaction controller's next deadline: a link-profile
+                # change point or a pending reattachment (one threshold,
+                # so clean runs pay one float compare).
                 self._spill(
                     ep, now, client_live, surrogate_live, allocs_since_gc,
                     bytes_since_gc, last_reeval, pend_pair, pend_bytes,
@@ -1122,7 +989,7 @@ class TraceReplayer:
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
                 )
-                self._poll_clock()
+                self.reactions.poll()
                 (now, client_live, surrogate_live, allocs_since_gc,
                  bytes_since_gc, last_reeval, class_on_surrogate, pend_pair,
                  pend_bytes, pend_count, comm_time, peak_client, link,
@@ -1183,15 +1050,13 @@ class TraceReplayer:
         self._flush_interactions()
         if self._coalescer is not None:
             self._coalescer.flush()
-        if self._lost_at is not None:
-            # The run ended in degraded mode: close the downtime window.
-            self._fault_report.downtime_s += self._now - self._lost_at
-            self._lost_at = None
+        reactions = self.reactions
+        # A run that ended in degraded mode closes its downtime window.
+        reactions.close_downtime()
         if self.config.faults is not None:
-            self._fault_report.epochs_survived = self.result.offload_count
-            self.result.faults = self._fault_report
-        if self._mobility_report is not None:
-            self.result.mobility = self._mobility_report
+            reactions.fault_report.epochs_survived = self.result.offload_count
+            self.result.faults = reactions.fault_report
+        self.result.mobility = reactions.mobility_report
         self.result.completed = not self.result.oom
         self.result.total_time = self._now
         self.result.final_offload_nodes = self._offloaded
@@ -1209,9 +1074,9 @@ class TraceReplayer:
         """Write the batched loop's hoisted state back to the instance.
 
         The loop keeps replayer state in locals; this writes it back so
-        a cold call (:meth:`_gc_cycle`, :meth:`_attempt_offload`,
-        :meth:`_poll_clock`, a fault-gauntlet exchange, and everything
-        they reach) observes the state as of the current event, then
+        a cold call (:meth:`_gc_cycle`, :meth:`_attempt_offload`, the
+        reaction controller's poll, a fault-gauntlet exchange, and
+        everything they reach) observes the state as of the current event, then
         the loop re-hoists what the call may have changed with
         :meth:`_reload`.
         """
@@ -1241,35 +1106,18 @@ class TraceReplayer:
         """The loop state a cold call may have changed, for the batched
         loop to re-hoist after :meth:`_spill` and the call.
 
-        The last item is the loop's cold threshold: the next
-        link-profile change point or, after a partition killed the
-        surrogate, its reattachment time — whichever comes first.
+        The last item is the loop's cold threshold, the reaction
+        controller's ``next_poll_at``.
         """
-        next_cold = self._next_link_change
-        reattach = self._reattach_at
-        if reattach is not None and reattach < next_cold:
-            next_cold = reattach
         return (
             self._now, self._client_live, self._surrogate_live,
             self._allocs_since_gc, self._bytes_since_gc,
             self._last_reevaluation, self._class_on_surrogate,
             self._pending_edge, self._pending_edge_bytes,
             self._pending_edge_count, self.result.comm_time,
-            self.result.peak_client_bytes, self._link, next_cold,
+            self.result.peak_client_bytes, self.reactions.link,
+            self.reactions.next_poll_at,
         )
-
-    def _poll_clock(self) -> None:
-        """The clock crossed the loop's cold threshold: re-resolve the
-        link at a profile change point, then reattach a surrogate whose
-        partition has healed (in that order)."""
-        if self._now >= self._next_link_change:
-            self._poll_mobility()
-        if (
-            self._reattach_at is not None
-            and self._surrogate_dead
-            and self._now >= self._reattach_at
-        ):
-            self._rediscover()
 
     def _remote_access(self, accessor_site: str, owner_site: str,
                        nbytes: int, is_write: int) -> bool:
@@ -1290,7 +1138,7 @@ class TraceReplayer:
             return True
         if not self._exchange():
             return False
-        self._charge_comm(remote_access_cost(self._link, nbytes,
+        self._charge_comm(remote_access_cost(self.reactions.link, nbytes,
                                              bool(is_write)))
         return True
 
@@ -1303,7 +1151,7 @@ class TraceReplayer:
             return True
         if not self._exchange():
             return False
-        self._charge_comm(remote_invoke_cost(self._link, arg_bytes,
+        self._charge_comm(remote_invoke_cost(self.reactions.link, arg_bytes,
                                              ret_bytes))
         return True
 
@@ -1393,13 +1241,13 @@ class TraceReplayer:
             heap_capacity=self.config.client.heap_capacity,
             client_speed=self.config.client.cpu_speed,
             surrogate_speed=self.config.surrogate.cpu_speed,
-            link=self._link,
+            link=self.reactions.link,
             total_cpu=self.graph.total_cpu(),
             elapsed=self._now,
         )
 
     def _attempt_offload(self, reevaluation: bool = False) -> None:
-        if self._surrogate_dead:
+        if self.reactions.peer_dead:
             # Client-only degraded mode: nothing to offload to.  The
             # graph keeps growing, so the post-rediscovery epoch starts
             # warm.
@@ -1413,7 +1261,7 @@ class TraceReplayer:
             moved_bytes, moved_objects = self._apply_placement(
                 self.config.forced_offload_nodes
             )
-            if self._surrogate_dead and moved_objects == 0:
+            if self.reactions.peer_dead and moved_objects == 0:
                 # The placement died on its opening exchange: nothing
                 # moved, so no offload was performed.
                 return
@@ -1454,7 +1302,7 @@ class TraceReplayer:
         moved_bytes, moved_objects = self._apply_placement(
             decision.offload_nodes
         )
-        if self._surrogate_dead and moved_objects == 0:
+        if self.reactions.peer_dead and moved_objects == 0:
             # The placement died on its opening exchange: nothing
             # moved, so no offload was performed.
             return
@@ -1511,7 +1359,7 @@ class TraceReplayer:
                 batches.append((batch_bytes, len(oids)))
             else:
                 wire = migration_payload(batch_bytes, len(oids))
-                duration = migration_cost(self._link, batch_bytes,
+                duration = migration_cost(self.reactions.link, batch_bytes,
                                           len(oids))
                 self.result.migration_bytes += wire
                 self.result.migration_time += duration
@@ -1520,7 +1368,7 @@ class TraceReplayer:
             moved_objects += len(oids)
         if pipelined and batches:
             wire = pipelined_migration_payload(batches)
-            duration = pipelined_migration_cost(self._link, batches)
+            duration = pipelined_migration_cost(self.reactions.link, batches)
             self.result.migration_bytes += wire
             self.result.migration_time += duration
             self._now += duration

@@ -165,7 +165,6 @@ class Migrator:
         self,
         new_surrogate: VirtualMachine,
         backhaul: LinkModel,
-        link: Optional[LinkModel] = None,
     ) -> MigrationOutcome:
         """Move the offloaded partition surrogate-to-surrogate.
 
@@ -173,8 +172,7 @@ class Migrator:
         resident on the current surrogate streams to ``new_surrogate``
         over ``backhaul`` (the surrogate-side infrastructure link) —
         the state never transits the client's wireless hop.  After the
-        move this migrator is attached to the new surrogate, talking
-        over ``link`` (default: keep the current link model).
+        move this migrator is attached to the new surrogate.
 
         Exactly-once under retry: the stream opens with one
         fault-checked delivery exchange *before* any object moves (the
@@ -190,8 +188,6 @@ class Migrator:
             self.last_migration_seq = self.delivery.exchanges
         if not departing:
             self.surrogate = new_surrogate
-            if link is not None:
-                self.link = link
             return MigrationOutcome()
         payload = sum(
             obj.size_bytes + PER_OBJECT_OVERHEAD_BYTES for obj in departing
@@ -217,8 +213,6 @@ class Migrator:
             total, old.name, new_surrogate.name,
         )
         self.surrogate = new_surrogate
-        if link is not None:
-            self.link = link
         return MigrationOutcome(
             moved_bytes=total,
             moved_objects=len(departing),

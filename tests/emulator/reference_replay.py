@@ -47,14 +47,8 @@ class ReferenceReplayer(TraceReplayer):
         for event in self.trace.events:
             handlers[type(event)](event)
             self.result.events_processed += 1
-            if self._now >= self._next_link_change:
-                self._poll_mobility()
-            if (
-                self._reattach_at is not None
-                and self._surrogate_dead
-                and self._now >= self._reattach_at
-            ):
-                self._rediscover()
+            if self._now >= self.reactions.next_poll_at:
+                self.reactions.poll()
             if (
                 offload_at is not None
                 and self.result.events_processed == offload_at
@@ -217,7 +211,7 @@ class ReferenceReplayer(TraceReplayer):
                                        event.arg_bytes, event.ret_bytes)
             else:
                 self._charge_comm(remote_invoke_cost(
-                    self._link, event.arg_bytes, event.ret_bytes
+                    self.reactions.link, event.arg_bytes, event.ret_bytes
                 ))
             self.result.remote_invocations += 1
             self.result.remote_bytes += nbytes
@@ -274,7 +268,7 @@ class ReferenceReplayer(TraceReplayer):
                 self.result.remote_bytes += event.nbytes
             else:
                 self._charge_comm(remote_access_cost(
-                    self._link, event.nbytes, event.is_write
+                    self.reactions.link, event.nbytes, event.is_write
                 ))
                 self.result.remote_accesses += 1
                 self.result.remote_bytes += event.nbytes

@@ -1,5 +1,7 @@
 """Mobility in the trace replayer: profiles, handoff, repatriation."""
 
+import dataclasses
+
 import pytest
 
 from repro.emulator import ColumnarTrace, ShardedReplayer, replicate
@@ -11,6 +13,7 @@ from repro.emulator.events import (
 )
 from repro.emulator.replay import EmulatorConfig, TraceReplayer
 from repro.emulator.traces import Trace
+from repro.errors import ConfigurationError
 from repro.net.mobility import (
     WAVELAN_WAN_ROAM,
     LinkProfile,
@@ -85,6 +88,13 @@ class TestConfigSurface:
         assert profiled.faults is not None
         assert profiled.faults.partition_windows == \
             WAVELAN_WAN_ROAM.disconnections
+
+    def test_mobility_without_a_profile_fails_loudly(self):
+        trace = roaming_trace()
+        config = dataclasses.replace(base_config(trace),
+                                     mobility=MobilityConfig())
+        with pytest.raises(ConfigurationError):
+            TraceReplayer(trace, config)
 
     def test_no_profile_means_no_mobility_report(self):
         trace = roaming_trace()

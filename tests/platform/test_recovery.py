@@ -180,6 +180,28 @@ class TestRediscovery:
         assert not platform.surrogate_lost
 
 
+class TestPartitionReattach:
+    def test_healed_partition_reattaches_without_a_manual_rediscover(self):
+        # A one-try ladder (1 ms) against a 2 ms partition just after the
+        # offload: the surrogate is declared dead, and the platform
+        # reattaches at the first operation boundary after the window.
+        platform = faulty_platform(
+            FaultSpec(seed=5, partition_windows=((0.2, 0.202),)),
+            client_heap=1024 * KB, threshold=0.9,
+            retry=RetryPolicy(timeout_s=0.001, max_retries=0),
+        )
+        report = platform.run(HoarderApp(segments=200))
+        faults = report.faults
+        assert faults["lost_reason"] == "partition"
+        assert faults["recoveries"] == 1
+        assert faults["rediscoveries"] == 1
+        assert not platform.surrogate_lost
+        assert not platform.engine.suspended
+        assert report.offload_count == 2
+        doc = platform.ctx.get_global("doc")
+        assert platform.ctx.get_field(doc, "count") == 200
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("spec", [
         FaultSpec(seed=3, loss_rate=0.05),

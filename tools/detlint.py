@@ -53,7 +53,9 @@ DEFAULT_TARGETS = (
     "src/repro/core/mincut.py",
     "src/repro/core/flatgraph.py",
     "src/repro/core/partitioner.py",
+    "src/repro/core/reaction.py",
     "src/repro/net/mobility.py",
+    "src/repro/platform/platform.py",
     "src/repro/platform/migration.py",
     "src/repro/net/faults.py",
     "src/repro/rpc/retry.py",
