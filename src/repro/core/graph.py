@@ -105,8 +105,11 @@ class ExecutionGraph:
     records the touched node/edge in a dirty set, so consumers that
     repeatedly re-read the graph (copy-on-write snapshots, warm-started
     partitioning) can do work proportional to the *change* since their
-    last visit.  Mutations must go through these entry points — writing
-    to a ``NodeStats``/``EdgeStats`` object directly bypasses tracking.
+    last visit.  Mutations must go through these entry points.  The one
+    exception is a batch writer (the replay loop) that adds straight
+    onto the ``NodeStats``/``EdgeStats`` objects of existing nodes and
+    edges: it must report what it touched through :meth:`note_updated`
+    before anything reads the graph.
     """
 
     def __init__(self) -> None:
@@ -144,6 +147,18 @@ class ExecutionGraph:
         self._dirty_nodes.clear()
         self._dirty_edges.clear()
         return delta
+
+    def note_updated(self, nodes: Iterable[str],
+                     edges: Iterable[Tuple[str, str]]) -> None:
+        """Mark existing nodes and canonical edge keys dirty, once.
+
+        The batch writer's entry point: the stats objects were already
+        updated in place, so this only records the change (one version
+        bump for the whole batch).
+        """
+        self._dirty_nodes.update(nodes)
+        self._dirty_edges.update(edges)
+        self._version += 1
 
     # -- construction -----------------------------------------------------------
 

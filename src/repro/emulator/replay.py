@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..config import DeviceProfile, EnhancementFlags, GCConfig, JORNADA, PC_SURROGATE
-from ..core.graph import ExecutionGraph, object_node_id
+from ..core.graph import EdgeStats, ExecutionGraph, NodeStats, edge_key, object_node_id
 from ..core.hints import ColdStartSeed
 from ..core.partitioner import (
     IncrementalPartitioner,
@@ -69,6 +69,8 @@ CLIENT = "client"
 SURROGATE = "surrogate"
 MAIN = "<main>"
 INT_ARRAY = "int[]"
+#: Mask of the high node id in an interned edge key.
+_LOW32 = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -356,14 +358,26 @@ class TraceReplayer(ReactionSite):
         self._invoke_cost_memo: Dict[Tuple[int, int], float] = {}
         granular = config.flags.arrays_object_granularity
         self._granular_classes: Set[str] = {INT_ARRAY} if granular else set()
-        # Run-length buffer for graph edge updates: consecutive
-        # interactions over the same node pair (tight guest loops are
-        # full of them) collapse into one batched
-        # ``record_interaction(..., count=N)`` call.  Flushed before any
-        # partitioning decision reads the graph.
-        self._pending_edge: Optional[Tuple[str, str]] = None
-        self._pending_edge_bytes = 0
-        self._pending_edge_count = 0
+        # Graph recording (see _flush_interactions).  Nodes are interned
+        # ints: a class node is its string-table id, an object node (at
+        # object granularity) gets the next free id on first sight.  An
+        # edge is the int key ``lo << 32 | hi`` of its two node ids.
+        self._node_names: List[str] = []
+        self._object_nodes: Dict[int, int] = {}
+        # The graph's own stats objects, cached by interned key once the
+        # node or edge went through a public entry point.
+        self._node_stats: Dict[int, NodeStats] = {}
+        self._edge_stats: Dict[int, EdgeStats] = {}
+        # What the current segment touched, reported to the graph as
+        # dirty in one call when the segment ends.
+        self._segment_nodes: Dict[int, NodeStats] = {}
+        self._segment_edges: Dict[int, EdgeStats] = {}
+        # Run-length buffer: consecutive interactions over the same node
+        # pair (tight guest loops are full of them) add up here and
+        # reach the edge as one batch; -1 = no run.
+        self._pend_key = -1
+        self._pend_bytes = 0
+        self._pend_count = 0
         # The entry point is always a (pinned) graph node, even before
         # any interaction references it.
         self.graph.ensure_node(MAIN)
@@ -394,16 +408,87 @@ class TraceReplayer(ReactionSite):
 
     # -- batched graph updates ---------------------------------------------------
 
+    # The loop adds straight onto the cached stats of nodes and edges
+    # already in the segment; these helpers take the rest.  A first
+    # sight goes through the graph's public entry point, at the moment
+    # the per-event call would have made it, which keeps node and edge
+    # creation order and the graph's own error checks.
+
+    def _intern_object(self, class_id: int, oid: int) -> int:
+        node = len(self._node_names)
+        self._node_names.append(
+            object_node_id(self._node_names[class_id], oid))
+        self._object_nodes[oid] = node
+        return node
+
+    def _add_edge(self, key: int, nbytes: int, count: int) -> None:
+        """Add a run of ``count`` interactions to an edge."""
+        stats = self._edge_stats.get(key)
+        if stats is None:
+            names = self._node_names
+            a, b = names[key >> 32], names[key & _LOW32]
+            if a > b:
+                a, b = b, a
+            self.graph.record_interaction(a, b, nbytes, count=count)
+            stats = self.graph.edge(a, b)
+            self._edge_stats[key] = stats
+        else:
+            stats.count += count
+            stats.bytes += nbytes
+        self._segment_edges[key] = stats
+
+    def _add_cpu(self, class_id: int, seconds: float) -> None:
+        """Add CPU to a class (negative time raises, via the graph)."""
+        stats = self._node_stats.get(class_id)
+        if stats is None or seconds < 0:
+            name = self._node_names[class_id]
+            self.graph.add_cpu(name, seconds)
+            stats = self.graph.node(name)
+            self._node_stats[class_id] = stats
+        else:
+            stats.cpu_seconds += seconds
+        self._segment_nodes[class_id] = stats
+
+    def _add_object(self, node: int, size: int) -> None:
+        """Add a created object of ``size`` bytes to a node."""
+        stats = self._node_stats.get(node)
+        if stats is None or size < 0:
+            name = self._node_names[node]
+            self.graph.add_memory(name, size)
+            self.graph.note_object_created(name)
+            stats = self.graph.node(name)
+            self._node_stats[node] = stats
+        else:
+            stats.memory_bytes += size
+            stats.live_objects += 1
+            stats.created_objects += 1
+        self._segment_nodes[node] = stats
+
+    def _ensure_node(self, node: int) -> None:
+        self._node_stats[node] = self.graph.ensure_node(self._node_names[node])
+
     def _flush_interactions(self) -> None:
-        pair = self._pending_edge
-        if pair is not None:
-            self.graph.record_interaction(
-                pair[0], pair[1], self._pending_edge_bytes,
-                count=self._pending_edge_count,
+        """End the recording segment: apply the pending run and report
+        every node and edge the segment touched to the graph.
+
+        Runs before anything reads the graph: a partitioning attempt
+        (and its evaluation context) and the end of the run.
+        """
+        if self._pend_key >= 0:
+            self._add_edge(self._pend_key, self._pend_bytes,
+                           self._pend_count)
+            self._pend_key = -1
+            self._pend_bytes = 0
+            self._pend_count = 0
+        nodes, edges = self._segment_nodes, self._segment_edges
+        if nodes or edges:
+            names = self._node_names
+            self.graph.note_updated(
+                [names[n] for n in nodes],
+                [edge_key(names[k >> 32], names[k & _LOW32]) for k in edges],
             )
-            self._pending_edge = None
-            self._pending_edge_bytes = 0
-            self._pending_edge_count = 0
+            nodes.clear()
+            edges.clear()
 
     # -- time ------------------------------------------------------------
 
@@ -520,10 +605,13 @@ class TraceReplayer(ReactionSite):
         GC cycles, partitioning attempts, surrogate-side reclaims,
         coalesced transfers, fault-gauntlet exchanges, and the clock
         thresholds (link-profile change points, reattachment after a
-        partition).  The per-event reference interpreter kept with the
-        tests performs the same operations in the same order with the
-        same floating-point arithmetic; the parity suites hold the two
-        to bit-identical fingerprints.
+        partition).  Graph recording adds onto cached stats objects and
+        reports what it touched once per segment (see
+        :meth:`_flush_interactions`).  The per-event reference
+        interpreter kept with the tests performs the same operations in
+        the same order with the same floating-point arithmetic; the
+        parity suites hold the two to bit-identical fingerprints and
+        graphs.
         """
         trace = ColumnarTrace.from_trace(self.trace)
         cols = trace.column_lists()
@@ -536,7 +624,6 @@ class TraceReplayer(ReactionSite):
 
         config = self.config
         result = self.result
-        graph = self.graph
         client_speed = config.client.cpu_speed
         surrogate_speed = config.surrogate.cpu_speed
         capacity = config.client.heap_capacity
@@ -544,9 +631,14 @@ class TraceReplayer(ReactionSite):
         allocs_per_cycle = config.gc.allocations_per_cycle
         bytes_per_cycle = config.gc.bytes_per_cycle
         monitoring_cost = config.monitoring_event_cost
-        offload_at = config.offload_at_event
-        reevaluate_every = config.reevaluate_every
         offload_enabled = config.offload_enabled
+        # The post-event offload checks, with their config halves folded:
+        # ``ep`` counts from 1, so -1 never fires.
+        offload_ep = (config.offload_at_event
+                      if config.offload_at_event is not None
+                      and offload_enabled else -1)
+        reevaluate_every = config.reevaluate_every
+        reeval_on = reevaluate_every is not None and offload_enabled
         stateless_local = config.flags.stateless_natives_local
         # Under fault injection every remote exchange runs the retry
         # ladder, which may charge time or kill the surrogate: those
@@ -566,6 +658,17 @@ class TraceReplayer(ReactionSite):
             sid for sid, name in enumerate(strings)
             if name in self._granular_classes
         }
+        # Graph recording by interned node id (see _flush_interactions).
+        self._node_names = list(strings)
+        object_node_get = self._object_nodes.get
+        intern_object = self._intern_object
+        segment_edge_get = self._segment_edges.get
+        segment_node_get = self._segment_nodes.get
+        known_nodes = self._node_stats
+        ensure_node = self._ensure_node
+        add_edge = self._add_edge
+        add_cpu = self._add_cpu
+        add_object = self._add_object
         array_ids = {
             sid for sid, name in enumerate(strings)
             if name.endswith("[]")
@@ -585,11 +688,6 @@ class TraceReplayer(ReactionSite):
         cache_note_read = cache.note_read if cache is not None else None
         static_key = RemoteReadCache.static_key
         coalescer = self._coalescer
-        graph_record = graph.record_interaction
-        graph_add_cpu = graph.add_cpu
-        graph_add_memory = graph.add_memory
-        graph_note_created = graph.note_object_created
-        graph_ensure = graph.ensure_node
 
         # Hoisted mutable state (spilled/reloaded around cold calls).
         cpu_client = result.cpu_time_client
@@ -600,7 +698,7 @@ class TraceReplayer(ReactionSite):
         remote_accesses = result.remote_accesses
         remote_bytes = result.remote_bytes
         (now, client_live, surrogate_live, allocs_since_gc, bytes_since_gc,
-         last_reeval, class_on_surrogate, pend_pair, pend_bytes, pend_count,
+         last_reeval, class_on_surrogate, pend_key, pend_bytes, pend_count,
          comm_time, peak_client, link, next_cold) = self._reload()
         ep = 0
         oom = False
@@ -659,7 +757,7 @@ class TraceReplayer(ReactionSite):
                         self._spill(
                             ep, now, client_live, surrogate_live,
                             allocs_since_gc, bytes_since_gc, last_reeval,
-                            pend_pair, pend_bytes, pend_count, cpu_client,
+                            pend_key, pend_bytes, pend_count, cpu_client,
                             cpu_surrogate, comm_time, monitoring_time,
                             remote_invocations, remote_native,
                             remote_accesses, remote_bytes, peak_client,
@@ -669,7 +767,7 @@ class TraceReplayer(ReactionSite):
                         )
                         (now, client_live, surrogate_live, allocs_since_gc,
                          bytes_since_gc, last_reeval, class_on_surrogate,
-                         pend_pair, pend_bytes, pend_count, comm_time,
+                         pend_key, pend_bytes, pend_count, comm_time,
                          peak_client, link, next_cold) = self._reload()
                         if delivered:
                             remote_accesses += 1
@@ -701,37 +799,33 @@ class TraceReplayer(ReactionSite):
                         now += cost
                         remote_accesses += 1
                         remote_bytes += nbytes
+                u, v = acid, bcid
                 if granular_ids:
-                    accessor_node = (
-                        object_node_id(accessor_class, ao)
-                        if ao >= 0 and acid in granular_ids
-                        else accessor_class
-                    )
-                    owner_node = (
-                        object_node_id(owner_class, oo)
-                        if oo >= 0 and bcid in granular_ids
-                        else owner_class
-                    )
-                else:
-                    accessor_node = accessor_class
-                    owner_node = owner_class
-                if accessor_node != owner_node:
+                    if ao >= 0 and acid in granular_ids:
+                        u = object_node_get(ao)
+                        if u is None:
+                            u = intern_object(acid, ao)
+                    if oo >= 0 and bcid in granular_ids:
+                        v = object_node_get(oo)
+                        if v is None:
+                            v = intern_object(bcid, oo)
+                if u != v:
                     # Run-length buffered graph update: consecutive
-                    # interactions over one node pair collapse into a
-                    # single ``record_interaction(..., count=N)``.
-                    pair = (
-                        (accessor_node, owner_node)
-                        if accessor_node <= owner_node
-                        else (owner_node, accessor_node)
-                    )
-                    if pair == pend_pair:
+                    # interactions over one node pair add up in the
+                    # pending run, which reaches the edge as one batch.
+                    key = u << 32 | v if u < v else v << 32 | u
+                    if key == pend_key:
                         pend_bytes += nbytes
                         pend_count += 1
                     else:
-                        if pend_pair is not None:
-                            graph_record(pend_pair[0], pend_pair[1],
-                                         pend_bytes, count=pend_count)
-                        pend_pair = pair
+                        if pend_key >= 0:
+                            edge = segment_edge_get(pend_key)
+                            if edge is None:
+                                add_edge(pend_key, pend_bytes, pend_count)
+                            else:
+                                edge.count += pend_count
+                                edge.bytes += pend_bytes
+                        pend_key = key
                         pend_bytes = nbytes
                         pend_count = 1
                 if monitoring_cost:
@@ -742,7 +836,8 @@ class TraceReplayer(ReactionSite):
                     monitoring_time += wall
                     now += wall
             elif tag == TAG_WORK:
-                class_name = strings[a_cls[i]]
+                acid = a_cls[i]
+                class_name = strings[acid]
                 ao = a_oid[i]
                 site = site_get(ao) if ao >= 0 else None
                 if site is None:
@@ -758,7 +853,11 @@ class TraceReplayer(ReactionSite):
                     wall = seconds / surrogate_speed
                     cpu_surrogate += wall
                 now += wall
-                graph_add_cpu(class_name, seconds)
+                node_stats = segment_node_get(acid)
+                if node_stats is None or seconds < 0:
+                    add_cpu(acid, seconds)
+                else:
+                    node_stats.cpu_seconds += seconds
             elif tag == TAG_INVOKE:
                 acid = a_cls[i]
                 caller_class = strings[acid]
@@ -795,7 +894,7 @@ class TraceReplayer(ReactionSite):
                         self._spill(
                             ep, now, client_live, surrogate_live,
                             allocs_since_gc, bytes_since_gc, last_reeval,
-                            pend_pair, pend_bytes, pend_count, cpu_client,
+                            pend_key, pend_bytes, pend_count, cpu_client,
                             cpu_surrogate, comm_time, monitoring_time,
                             remote_invocations, remote_native,
                             remote_accesses, remote_bytes, peak_client,
@@ -805,7 +904,7 @@ class TraceReplayer(ReactionSite):
                         )
                         (now, client_live, surrogate_live, allocs_since_gc,
                          bytes_since_gc, last_reeval, class_on_surrogate,
-                         pend_pair, pend_bytes, pend_count, comm_time,
+                         pend_key, pend_bytes, pend_count, comm_time,
                          peak_client, link, next_cold) = self._reload()
                         if not delivered:
                             # The surrogate died under this round trip:
@@ -837,34 +936,30 @@ class TraceReplayer(ReactionSite):
                         remote_bytes += nbytes
                         if kid == native_id:
                             remote_native += 1
+                u, v = acid, bcid
                 if granular_ids:
-                    caller_node = (
-                        object_node_id(caller_class, ao)
-                        if ao >= 0 and acid in granular_ids
-                        else caller_class
-                    )
-                    callee_node = (
-                        object_node_id(callee_class, bo)
-                        if bo >= 0 and bcid in granular_ids
-                        else callee_class
-                    )
-                else:
-                    caller_node = caller_class
-                    callee_node = callee_class
-                if caller_node != callee_node:
-                    pair = (
-                        (caller_node, callee_node)
-                        if caller_node <= callee_node
-                        else (callee_node, caller_node)
-                    )
-                    if pair == pend_pair:
+                    if ao >= 0 and acid in granular_ids:
+                        u = object_node_get(ao)
+                        if u is None:
+                            u = intern_object(acid, ao)
+                    if bo >= 0 and bcid in granular_ids:
+                        v = object_node_get(bo)
+                        if v is None:
+                            v = intern_object(bcid, bo)
+                if u != v:
+                    key = u << 32 | v if u < v else v << 32 | u
+                    if key == pend_key:
                         pend_bytes += nbytes
                         pend_count += 1
                     else:
-                        if pend_pair is not None:
-                            graph_record(pend_pair[0], pend_pair[1],
-                                         pend_bytes, count=pend_count)
-                        pend_pair = pair
+                        if pend_key >= 0:
+                            edge = segment_edge_get(pend_key)
+                            if edge is None:
+                                add_edge(pend_key, pend_bytes, pend_count)
+                            else:
+                                edge.count += pend_count
+                                edge.bytes += pend_bytes
+                        pend_key = key
                         pend_bytes = nbytes
                         pend_count = 1
                 if monitoring_cost:
@@ -877,7 +972,8 @@ class TraceReplayer(ReactionSite):
             elif tag == TAG_ALLOC:
                 # New objects are placed on the VM performing the
                 # creation.
-                creator_class = strings[b_cls[i]]
+                bcid = b_cls[i]
+                creator_class = strings[bcid]
                 site = (
                     SURROGATE_ if creator_class in class_on_surrogate
                     else CLIENT_
@@ -888,7 +984,7 @@ class TraceReplayer(ReactionSite):
                     self._spill(
                         ep, now, client_live, surrogate_live,
                         allocs_since_gc, bytes_since_gc, last_reeval,
-                        pend_pair, pend_bytes, pend_count, cpu_client,
+                        pend_key, pend_bytes, pend_count, cpu_client,
                         cpu_surrogate, comm_time, monitoring_time,
                         remote_invocations, remote_native,
                         remote_accesses, remote_bytes, peak_client,
@@ -896,7 +992,7 @@ class TraceReplayer(ReactionSite):
                     self._gc_cycle("space-exhausted")
                     (now, client_live, surrogate_live, allocs_since_gc,
                      bytes_since_gc, last_reeval, class_on_surrogate,
-                     pend_pair, pend_bytes, pend_count, comm_time,
+                     pend_key, pend_bytes, pend_count, comm_time,
                      peak_client, link, next_cold) = self._reload()
                     # Placement may have changed under the GC's offload
                     # trigger, but the allocation keeps its pre-GC site.
@@ -922,15 +1018,22 @@ class TraceReplayer(ReactionSite):
                     site_map[oid] = site
                     size_map[oid] = size
                     class_map[oid] = class_name
+                    node = acid
                     if granular_ids and acid in granular_ids:
-                        node = object_node_id(class_name, oid)
+                        node = object_node_get(oid)
+                        if node is None:
+                            node = intern_object(acid, oid)
+                    node_stats = segment_node_get(node)
+                    if node_stats is None or size < 0:
+                        add_object(node, size)
                     else:
-                        node = class_name
-                    graph_add_memory(node, size)
-                    graph_note_created(node)
+                        node_stats.memory_bytes += size
+                        node_stats.live_objects += 1
+                        node_stats.created_objects += 1
                     # The creating class is part of the execution
                     # picture even if no interaction referenced it yet.
-                    graph_ensure(creator_class)
+                    if bcid not in known_nodes:
+                        ensure_node(bcid)
                     if monitoring_cost:
                         wall = monitoring_cost / (
                             client_speed if site == CLIENT_
@@ -949,7 +1052,7 @@ class TraceReplayer(ReactionSite):
                     self._spill(
                         ep, now, client_live, surrogate_live,
                         allocs_since_gc, bytes_since_gc, last_reeval,
-                        pend_pair, pend_bytes, pend_count, cpu_client,
+                        pend_key, pend_bytes, pend_count, cpu_client,
                         cpu_surrogate, comm_time, monitoring_time,
                         remote_invocations, remote_native,
                         remote_accesses, remote_bytes, peak_client,
@@ -957,7 +1060,7 @@ class TraceReplayer(ReactionSite):
                     self._gc_cycle(reason)
                     (now, client_live, surrogate_live, allocs_since_gc,
                      bytes_since_gc, last_reeval, class_on_surrogate,
-                     pend_pair, pend_bytes, pend_count, comm_time,
+                     pend_key, pend_bytes, pend_count, comm_time,
                      peak_client, link, next_cold) = self._reload()
             else:
                 # TAG_FREE
@@ -984,36 +1087,31 @@ class TraceReplayer(ReactionSite):
                 # so clean runs pay one float compare).
                 self._spill(
                     ep, now, client_live, surrogate_live, allocs_since_gc,
-                    bytes_since_gc, last_reeval, pend_pair, pend_bytes,
+                    bytes_since_gc, last_reeval, pend_key, pend_bytes,
                     pend_count, cpu_client, cpu_surrogate, comm_time,
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
                 )
                 self.reactions.poll()
                 (now, client_live, surrogate_live, allocs_since_gc,
-                 bytes_since_gc, last_reeval, class_on_surrogate, pend_pair,
+                 bytes_since_gc, last_reeval, class_on_surrogate, pend_key,
                  pend_bytes, pend_count, comm_time, peak_client, link,
                  next_cold) = self._reload()
-            if (
-                offload_at is not None
-                and ep == offload_at
-                and offload_enabled
-            ):
+            if ep == offload_ep:
                 self._spill(
                     ep, now, client_live, surrogate_live, allocs_since_gc,
-                    bytes_since_gc, last_reeval, pend_pair, pend_bytes,
+                    bytes_since_gc, last_reeval, pend_key, pend_bytes,
                     pend_count, cpu_client, cpu_surrogate, comm_time,
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
                 )
                 self._attempt_offload()
                 (now, client_live, surrogate_live, allocs_since_gc,
-                 bytes_since_gc, last_reeval, class_on_surrogate, pend_pair,
+                 bytes_since_gc, last_reeval, class_on_surrogate, pend_key,
                  pend_bytes, pend_count, comm_time, peak_client, link,
                  next_cold) = self._reload()
             if (
-                reevaluate_every is not None
-                and offload_enabled
+                reeval_on
                 and result.offload_count > 0
                 and now - last_reeval >= reevaluate_every
             ):
@@ -1024,21 +1122,21 @@ class TraceReplayer(ReactionSite):
                 last_reeval = now
                 self._spill(
                     ep, now, client_live, surrogate_live, allocs_since_gc,
-                    bytes_since_gc, last_reeval, pend_pair, pend_bytes,
+                    bytes_since_gc, last_reeval, pend_key, pend_bytes,
                     pend_count, cpu_client, cpu_surrogate, comm_time,
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
                 )
                 self._attempt_offload(reevaluation=True)
                 (now, client_live, surrogate_live, allocs_since_gc,
-                 bytes_since_gc, last_reeval, class_on_surrogate, pend_pair,
+                 bytes_since_gc, last_reeval, class_on_surrogate, pend_key,
                  pend_bytes, pend_count, comm_time, peak_client, link,
                  next_cold) = self._reload()
             if oom:
                 break
         self._spill(
             ep, now, client_live, surrogate_live, allocs_since_gc,
-            bytes_since_gc, last_reeval, pend_pair, pend_bytes, pend_count,
+            bytes_since_gc, last_reeval, pend_key, pend_bytes, pend_count,
             cpu_client, cpu_surrogate, comm_time, monitoring_time,
             remote_invocations, remote_native, remote_accesses,
             remote_bytes, peak_client,
@@ -1066,7 +1164,7 @@ class TraceReplayer(ReactionSite):
 
     def _spill(
         self, ep, now, client_live, surrogate_live, allocs_since_gc,
-        bytes_since_gc, last_reeval, pend_pair, pend_bytes, pend_count,
+        bytes_since_gc, last_reeval, pend_key, pend_bytes, pend_count,
         cpu_client, cpu_surrogate, comm_time, monitoring_time,
         remote_invocations, remote_native, remote_accesses, remote_bytes,
         peak_client,
@@ -1087,9 +1185,9 @@ class TraceReplayer(ReactionSite):
         self._allocs_since_gc = allocs_since_gc
         self._bytes_since_gc = bytes_since_gc
         self._last_reevaluation = last_reeval
-        self._pending_edge = pend_pair
-        self._pending_edge_bytes = pend_bytes
-        self._pending_edge_count = pend_count
+        self._pend_key = pend_key
+        self._pend_bytes = pend_bytes
+        self._pend_count = pend_count
         result.cpu_time_client = cpu_client
         result.cpu_time_surrogate = cpu_surrogate
         result.comm_time = comm_time
@@ -1113,8 +1211,8 @@ class TraceReplayer(ReactionSite):
             self._now, self._client_live, self._surrogate_live,
             self._allocs_since_gc, self._bytes_since_gc,
             self._last_reevaluation, self._class_on_surrogate,
-            self._pending_edge, self._pending_edge_bytes,
-            self._pending_edge_count, self.result.comm_time,
+            self._pend_key, self._pend_bytes,
+            self._pend_count, self.result.comm_time,
             self.result.peak_client_bytes, self.reactions.link,
             self.reactions.next_poll_at,
         )
