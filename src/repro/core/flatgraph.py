@@ -657,6 +657,11 @@ class FlatGraph:
                    key=lambda i: (rowtot[i] // cbnb, names[i]))
         return {names[best]}
 
+    def _seed_indices(self, seed_set: set) -> List[int]:
+        """The seed's indices in graph insertion order, so sums over
+        them do not depend on the set's (hash) order."""
+        return sorted(map(self.idx.__getitem__, seed_set))
+
     def generate_chain(
         self, pinned: Iterable[str],
         warm: Optional[FlatWarmState] = None,
@@ -666,12 +671,11 @@ class FlatGraph:
         Emits bit-identical candidates to the legacy generator: same
         move order, same integer cut/memory statistics, and the same
         float accumulation order for the CPU columns (the seed sums are
-        taken in the same set-iteration order the legacy path uses).
+        taken in graph insertion order, as the legacy path takes them).
         """
         seed_set = self._seed_set(pinned)
         n = self.n
-        idx = self.idx
-        seed_idx = [idx[name] for name in seed_set]
+        seed_idx = self._seed_indices(seed_set)
         k = n - len(seed_idx)
         node_mem = self.node_mem
         node_cpu = self.node_cpu
@@ -809,7 +813,6 @@ class FlatGraph:
         k = len(warm.order)
         if not warm.ready or k < 2:
             return None, COLD_NOT_READY, 0, 0
-        idx = self.idx
         # Same seeding rule as the cold path, most-connected fallback
         # included — a delta can legitimately move that fallback seed,
         # which is a real seed change and repairs cannot survive it.
@@ -849,7 +852,7 @@ class FlatGraph:
             if (pos[a] == 0) != (pos[b] == 0):
                 cut_b0 += dbytes
                 cut_c0 += dcount
-        seed_idx = [idx[name] for name in seed_set]
+        seed_idx = self._seed_indices(seed_set)
         client_mem = sum(node_mem[i] for i in seed_idx)
         client_cpu = sum(node_cpu[i] for i in seed_idx)
         total_mem = self.total_mem

@@ -330,7 +330,7 @@ def generate_candidates(
     cut_count, cut_bytes = graph.cut(frozenset(client))
     conn_bytes: Dict[str, int] = {}
     conn_count: Dict[str, int] = {}
-    for node in surrogate:
+    for node in surrogate:  # detlint: allow - per-node int sums, keyed
         nbytes = ncount = 0
         for neighbor, edge in graph.adjacent_edges(node):
             if neighbor in client:
@@ -341,12 +341,16 @@ def generate_candidates(
 
     heap: List[Tuple[int, int, _MaxOrderStr]] = [
         (-conn_bytes[node], -conn_count[node], _MaxOrderStr(node))
-        for node in surrogate
+        for node in surrogate  # detlint: allow - heapified, unique keys
     ]
     heapq.heapify(heap)
 
-    client_memory = graph.total_memory(client)
-    client_cpu = graph.total_cpu(client)
+    # Seed sums in graph insertion order, as the flat kernel takes them:
+    # a float sum in set order would depend on string hashing.
+    seed_stats = [stats for node, stats in graph.node_items()
+                  if node in client]
+    client_memory = sum(stats.memory_bytes for stats in seed_stats)
+    client_cpu = sum(stats.cpu_seconds for stats in seed_stats)
 
     log = _MoveLog(frozenset(client))
     candidates: List[CandidatePartition] = []
@@ -516,7 +520,9 @@ def _warm_generate(
     cur_bytes: Dict[str, int] = {}
     cur_count: Dict[str, int] = {}
     pending: Dict[int, List[Tuple[str, int, int]]] = {}
-    for node in perturbed:
+    # Order-free: per-node int sums, and pending entries only feed int
+    # sums and pushes onto a heap with unique keys.
+    for node in perturbed:  # detlint: allow - see above
         node_pos = pos[node]
         base_bytes = base_count = 0
         for neighbor, edge in graph.adjacent_edges(node):
@@ -534,7 +540,7 @@ def _warm_generate(
         cur_count[node] = base_count
     heap: List[Tuple[int, int, _MaxOrderStr]] = [
         (-cur_bytes[node], -cur_count[node], _MaxOrderStr(node))
-        for node in perturbed
+        for node in perturbed  # detlint: allow - heapified, unique keys
     ]
     heapq.heapify(heap)
 
@@ -707,9 +713,10 @@ def stoer_wagner(graph: ExecutionGraph) -> Tuple[int, FrozenSet[str]]:
         # Minimum cut phase (maximum adjacency ordering), drawn from a
         # lazy-deletion heap with the historical (conn, node) tie-break.
         order = []
-        conn: Dict[str, int] = {n: 0 for n in active}
+        # Order-free: conn is read by key, the heap keys are unique.
+        conn: Dict[str, int] = {n: 0 for n in active}  # detlint: allow
         remaining = set(active)
-        heap = [(0, _MaxOrderStr(n)) for n in active]
+        heap = [(0, _MaxOrderStr(n)) for n in active]  # detlint: allow
         heapq.heapify(heap)
         while remaining:
             while True:

@@ -61,6 +61,110 @@ class TestUnorderedIteration:
         assert rules_in("for item in [1, 2]:\n    use(item)\n") == []
 
 
+class TestUnorderedLocals:
+    """DL102 follows a local name bound to a set in the same function."""
+
+    def test_local_set_call_flagged(self):
+        assert rules_in(
+            "def f(items):\n"
+            "    seen = set(items)\n"
+            "    return [g(x) for x in seen]\n"
+        ) == ["DL102"]
+
+    def test_local_set_display_and_comprehension_flagged(self):
+        assert rules_in(
+            "def f(items):\n"
+            "    a = {1, 2}\n"
+            "    b = {x for x in items}\n"
+            "    for x in a:\n"
+            "        use(x)\n"
+            "    return sum(y for y in b)\n"
+        ) == ["DL102", "DL102"]
+
+    def test_local_frozenset_and_set_operator_flagged(self):
+        assert rules_in(
+            "def f(items, other):\n"
+            "    rest = frozenset(items) - other\n"
+            "    for x in rest:\n"
+            "        use(x)\n"
+        ) == ["DL102"]
+
+    def test_set_annotated_local_flagged(self):
+        assert rules_in(
+            "def f(items):\n"
+            "    seen: Set[str] = collect(items)\n"
+            "    for x in seen:\n"
+            "        use(x)\n"
+        ) == ["DL102"]
+
+    def test_local_from_set_returning_function_flagged(self):
+        source = (
+            "from typing import Set\n"
+            "def seeds(pinned) -> Set[str]:\n"
+            "    return {p for p in pinned}\n"
+            "class K:\n"
+            "    def _seeds(self, pinned) -> set:\n"
+            "        return set(pinned)\n"
+            "    def run(self, pinned):\n"
+            "        a = seeds(pinned)\n"
+            "        b = self._seeds(pinned)\n"
+            "        return [x for x in a] + [y for y in b]\n"
+        )
+        findings = detlint.check_source("<test>", source)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("DL102", 10), ("DL102", 10)]
+
+    def test_direct_call_of_set_returning_function_flagged(self):
+        assert rules_in(
+            "def seeds(pinned) -> frozenset:\n"
+            "    return frozenset(pinned)\n"
+            "def run(pinned):\n"
+            "    for x in seeds(pinned):\n"
+            "        use(x)\n"
+        ) == ["DL102"]
+
+    def test_rebound_to_sorted_not_flagged(self):
+        assert rules_in(
+            "def f(items):\n"
+            "    seen = set(items)\n"
+            "    seen = sorted(seen)\n"
+            "    for x in seen:\n"
+            "        use(x)\n"
+        ) == []
+
+    def test_list_local_and_other_functions_not_flagged(self):
+        assert rules_in(
+            "def f(items):\n"
+            "    seen = set(items)\n"
+            "    return len(seen)\n"
+            "def g(seen):\n"
+            "    for x in seen:\n"
+            "        use(x)\n"
+            "def h(items):\n"
+            "    order = list(items)\n"
+            "    for x in order:\n"
+            "        use(x)\n"
+        ) == []
+
+    def test_nested_function_has_its_own_scope(self):
+        assert rules_in(
+            "def outer(items):\n"
+            "    def inner(seen):\n"
+            "        for x in seen:\n"
+            "            use(x)\n"
+            "    seen = set(items)\n"
+            "    return inner(sorted(seen))\n"
+        ) == []
+
+    def test_allow_marker_suppresses(self):
+        assert rules_in(
+            "def f(items):\n"
+            "    seen = set(items)\n"
+            "    for x in seen:  # detlint: allow - order-free\n"
+            "        use(x)\n"
+        ) == []
+
+
 class TestRandomness:
     def test_global_random_flagged(self):
         assert rules_in(
