@@ -14,7 +14,7 @@ completion time against the realised one.
 import dataclasses
 
 from repro.config import EnhancementFlags
-from repro.core.mincut import generate_candidates
+from repro.core import flatgraph
 from repro.core.policy import predict_completion_time
 from repro.emulator import Emulator, TraceReplayer
 from repro.experiments import (
@@ -45,9 +45,9 @@ def run_oracle():
 
     class GraphProbe(TraceReplayer):
         def _attempt_offload(self):
-            seen["candidates"] = generate_candidates(
-                self.graph, self._pinned_nodes()
-            )
+            seen["candidates"] = flatgraph.snapshot(
+                self.graph
+            ).generate_chain(self._pinned_nodes()).candidates()
             seen["ctx"] = self._evaluation_context()
 
     GraphProbe(trace, base).run()

@@ -1,12 +1,12 @@
-"""Flat integer-indexed CSR snapshot of the execution graph.
+"""The modified MINCUT heuristic on a flat integer-indexed CSR snapshot.
 
-The MINCUT candidate generator in :mod:`repro.core.mincut` runs on the
-string-keyed dict-of-dicts :class:`~repro.core.graph.ExecutionGraph`.
-That shape is right for the monitor (incremental point updates, stable
-node identities) but wrong for the control-plane hot path: one candidate
-chain walks every edge several times through hash lookups and tuple
-heap keys.  This module compiles the graph into the same stdlib-``array``
-SoA style the emulator's columnar replay core uses:
+This is the partitioner's only candidate generator.  The monitor
+records into the string-keyed dict-of-dicts
+:class:`~repro.core.graph.ExecutionGraph`; that shape is right for
+incremental point updates and stable node identities, but wrong for
+the control-plane hot path, where one candidate chain walks every edge
+several times.  This module compiles the graph into the same
+stdlib-``array`` SoA style the emulator's columnar replay core uses:
 
 * a **node interning table** (``names``/``idx``/``rank``) mapping node
   ids to dense integer indices, reused across epochs — an index assigned
@@ -20,16 +20,17 @@ SoA style the emulator's columnar replay core uses:
 Packed connectivity keys
 ------------------------
 
-The legacy generator orders surrogate nodes by the tuple
-``(conn_bytes, conn_count, node_id)`` with ties broken towards the
-*largest* id.  Here the whole tuple is packed into one integer::
+The heuristic moves surrogate nodes in order of the tuple
+``(conn_bytes, conn_count, node_id)``, largest first, so ties break
+towards the *largest* id.  Here the whole tuple is packed into one
+integer::
 
     key(v) = (conn_bytes * CB + conn_count) * NB + rank(v)
 
 where ``rank(v)`` is the node id's lexicographic rank, ``NB`` is a
 power of two above the node count and ``CB`` a power of two above twice
 the graph's total interaction count.  Packed keys compare exactly like
-the legacy tuples (ranks are distinct, so ties never reach doubt), a
+the tuples (ranks are distinct, so ties never reach doubt), a
 relaxation is a single integer add of the edge's pre-packed increment,
 and a lazy-deletion heap of plain ints replaces the tuple heap.  The
 factor-of-two slack in ``CB`` means interaction counts can keep growing
@@ -44,12 +45,12 @@ cut, the rest join), so the inner loop never touches per-edge cut sums.
 Bounded local repair
 --------------------
 
-The legacy warm start is all-or-nothing: any shrinking edge or greedy
-order flip abandons the whole move log and reruns cold.  Here the move
-log is *repaired* instead.  A single sweep replays the previous order
-while exactly tracking the packed connectivity of the **perturbed set**
-— endpoints of changed edges, plus (lazily) every neighbor of a node
-that moves out of its old position.  At each step the recorded winner
+A session does not rerun the heuristic from scratch on every small
+graph delta, nor abandon the move log on the first shrinking edge or
+greedy order flip: the move log is *repaired*.  A single sweep replays
+the previous order while exactly tracking the packed connectivity of
+the **perturbed set** — endpoints of changed edges, plus (lazily)
+every neighbor of a node that moves out of its old position.  At each step the recorded winner
 is compared against the best tracked competitor; a flip splices the
 overtaking node into the order and promotes its untouched neighbors
 into the tracked set (their old recorded values can no longer be
@@ -67,6 +68,10 @@ only when
 
 Each fallback is reported with a reason so the session can expose a
 fallback taxonomy in its :class:`~repro.core.partitioner.ReevalStats`.
+
+``tests/core/reference_mincut.py`` keeps the original O(V^2) scan of
+the heuristic as the parity oracle: cold chains, and every repaired
+session epoch, must match it bit for bit, float columns included.
 """
 
 from __future__ import annotations
@@ -119,8 +124,7 @@ class FlatDelta(NamedTuple):
 class FlatWarmState:
     """Index-space outcome of one candidate-generation run.
 
-    The flat equivalent of :class:`repro.core.mincut.WarmStartState`:
-    everything is keyed by interned node index, selections are stored as
+    Everything is keyed by interned node index, selections are stored as
     packed keys (with the basis they were packed under, so a basis
     doubling can re-encode them in O(k)), and the per-candidate
     statistics columns are plain Python lists ready for difference-free
@@ -170,10 +174,9 @@ class FlatChain:
     cached property each, so a policy that scans only (say) memory and
     cut bytes never pays for decoding CPU or cut-count columns.
     Candidate objects — with their O(V) frozenset node sets — are only
-    materialised on demand, through the same
-    shared-:class:`~repro.core.mincut._MoveLog` lazy mechanism the
-    legacy generator uses, so a chain whose winner is picked by a
-    columnar policy scan materialises exactly one candidate.
+    materialised on demand, through a shared
+    :class:`~repro.core.mincut._MoveLog`, so a chain whose winner is
+    picked by a columnar policy scan materialises exactly one candidate.
 
     The packed basis (``cb``, ``nb``) and resource totals are captured
     at construction: a later ``sync`` may rebasis or retotal the parent
@@ -307,7 +310,7 @@ class FlatChain:
         )
 
     def candidates(self) -> List[CandidatePartition]:
-        """The full legacy candidate list (memoised)."""
+        """The full candidate list (memoised)."""
         materialized = self._materialized
         if materialized is None:
             log = self._move_log()
@@ -333,11 +336,10 @@ class FlatChain:
     def fingerprint(self):
         """Hashable digest of the statistics columns (C-speed hashing).
 
-        The columnar analogue of
-        :func:`repro.core.policy.candidates_fingerprint`: node sets are
-        excluded (no policy selects on them), and the integer columns
-        are packed through ``array.tobytes`` so the policy-evaluation
-        memo hashes five byte strings instead of k tuples.
+        Node sets are excluded (no policy selects on them), and the
+        columns are packed through ``array.tobytes`` so the
+        policy-evaluation memo hashes five byte strings instead of k
+        tuples.
         """
         fp = self._fingerprint
         if fp is None:
@@ -351,7 +353,7 @@ class FlatChain:
                 )
             except OverflowError:
                 # Statistics beyond int64 (pathological byte totals):
-                # fall back to the legacy tuple-of-tuples shape.
+                # fall back to a tuple-of-tuples shape.
                 fp = tuple(
                     zip(self.cut_bytes, self.cut_count,
                         self.surrogate_memory, self.surrogate_cpu,
@@ -403,12 +405,13 @@ class FlatGraph:
     # -- compilation --------------------------------------------------------
 
     @classmethod
-    def try_compile(cls, graph: ExecutionGraph) -> Optional["FlatGraph"]:
-        """Compile a snapshot; None when the graph is unsupported.
+    def try_compile(cls, graph: ExecutionGraph) -> "FlatGraph":
+        """Compile a snapshot of ``graph``.
 
-        Negative edge weights (possible only through synthetic negative
-        ``record_interaction`` deltas) would break the packed-key sign
-        convention, so such graphs stay on the legacy string path.
+        Raises :class:`~repro.errors.PartitioningError` on a negative
+        edge weight (possible only through synthetic negative
+        ``record_interaction`` deltas): it would break the packed-key
+        sign convention, and no interaction history can produce one.
         """
         self = cls.__new__(cls)
         names = list(graph.nodes())
@@ -423,7 +426,7 @@ class FlatGraph:
             node_mem[i] = stats.memory_bytes
             node_cpu[i] = stats.cpu_seconds
         # Lexicographic interning rank: packed keys tie-break exactly
-        # like the legacy (bytes, count, node-id) max selection.
+        # like the (bytes, count, node-id) max selection.
         by_name = sorted(range(n), key=names.__getitem__)
         rank = [0] * n
         r2i = [0] * n
@@ -438,7 +441,10 @@ class FlatGraph:
         total_count = 0
         for key, edge in graph.edges():
             if edge.bytes < 0 or edge.count < 0:
-                return None
+                raise PartitioningError(
+                    f"cannot partition a graph with a negative edge weight "
+                    f"{key!r} ({edge.bytes} bytes, {edge.count} calls)"
+                )
             edge_pos[key] = len(edge_a)
             edge_a.append(idx[key[0]])
             edge_b.append(idx[key[1]])
@@ -639,7 +645,12 @@ class FlatGraph:
     # -- cold candidate generation -----------------------------------------
 
     def _seed_set(self, pinned: Iterable[str]) -> set:
-        """Mirror of ``mincut._seed_nodes`` on the interned snapshot."""
+        """Client-partition seed: pinned nodes present in the graph.
+
+        If nothing is pinned (an application with no native classes),
+        seed with the most-connected node, mirroring Stoer–Wagner's
+        arbitrary start vertex but made deterministic.
+        """
         idx = self.idx
         seed = {name for name in pinned if name in idx}
         if seed:
@@ -668,10 +679,13 @@ class FlatGraph:
     ) -> FlatChain:
         """Cold run of the MINCUT heuristic on packed integer keys.
 
-        Emits bit-identical candidates to the legacy generator: same
-        move order, same integer cut/memory statistics, and the same
-        float accumulation order for the CPU columns (the seed sums are
-        taken in graph insertion order, as the legacy path takes them).
+        Candidates run from the largest offload (everything that is not
+        pinned) down to offloading a single node, so there are fewer
+        candidates than nodes, as the paper notes.  The CPU columns are
+        float sums taken in a fixed order — the seed in graph insertion
+        order, then one move at a time — so they do not depend on
+        string hashing.  With ``warm``, the run records what a later
+        :meth:`repair_chain` needs.
         """
         seed_set = self._seed_set(pinned)
         n = self.n
@@ -995,20 +1009,18 @@ _snapshots: "WeakKeyDictionary[ExecutionGraph, FlatGraph]" = (
 )
 
 
-def snapshot(graph: ExecutionGraph) -> Optional[FlatGraph]:
+def snapshot(graph: ExecutionGraph) -> FlatGraph:
     """A compiled snapshot of ``graph`` (cached while its version holds).
 
-    Returns None when the graph is unsupported by the flat path (see
-    :meth:`FlatGraph.try_compile`); callers fall back to the legacy
-    string-keyed generator.
+    Raises :class:`~repro.errors.PartitioningError` when the graph
+    cannot be compiled (see :meth:`FlatGraph.try_compile`).
     """
     fg = _snapshots.get(graph)
     if fg is not None and fg.synced_version == graph.version:
         return fg
     fg = FlatGraph.try_compile(graph)
-    if fg is not None:
-        try:
-            _snapshots[graph] = fg
-        except TypeError:
-            pass  # non-weakrefable graph subclass: still usable, uncached
+    try:
+        _snapshots[graph] = fg
+    except TypeError:
+        pass  # non-weakrefable graph subclass: still usable, uncached
     return fg

@@ -355,6 +355,13 @@ class ExecutionGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionGraph":
+        """Load a graph written by :meth:`to_dict`.
+
+        The input comes from outside the process, so negative node
+        memory/CPU and negative edge bytes/counts are rejected with
+        :class:`~repro.errors.PartitioningError` here rather than
+        surfacing later as a graph the partitioner refuses.
+        """
         graph = cls()
         for node_id, stats in data.get("nodes", {}).items():
             node = graph.ensure_node(node_id)
@@ -362,7 +369,17 @@ class ExecutionGraph:
             node.cpu_seconds = stats.get("cpu_seconds", 0.0)
             node.live_objects = stats.get("live_objects", 0)
             node.created_objects = stats.get("created_objects", 0)
+            if node.memory_bytes < 0 or node.cpu_seconds < 0:
+                raise PartitioningError(
+                    f"node {node_id!r} has negative memory or cpu "
+                    f"({node.memory_bytes} bytes, {node.cpu_seconds} s)"
+                )
         for edge in data.get("edges", []):
+            if edge["bytes"] < 0 or edge["count"] < 0:
+                raise PartitioningError(
+                    f"edge {edge['a']!r}-{edge['b']!r} has a negative "
+                    f"weight ({edge['bytes']} bytes, {edge['count']} calls)"
+                )
             graph.record_interaction(
                 edge["a"], edge["b"], edge["bytes"], count=edge["count"]
             )

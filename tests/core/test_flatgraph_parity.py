@@ -1,16 +1,19 @@
-"""Flat-CSR partitioner core vs the legacy string-keyed generator.
+"""The flat-CSR partitioner kernel vs the O(V^2) reference oracle.
 
-The flat path (``core.flatgraph``) must be *bit-identical* to the
-legacy MINCUT kernel — same candidates, same statistics (including the
-float CPU columns), same policy selections, same refusal messages —
-across cold runs, warm-started sessions, and every repair/fallback
-branch.  These tests drive both implementations over
+The kernel (``core.flatgraph``) must be *bit-identical* to the original
+MINCUT formulation kept in ``tests/core/reference_mincut.py`` — same
+candidates, same statistics (including the float CPU columns), same
+policy selections, same refusal messages — across cold runs, repaired
+sessions, and every repair/fallback branch.  Sessions are checked
+against a cold reference run plus the policy's list-shaped
+``evaluate`` on every epoch.  These tests drive the kernel over
 hypothesis-randomised graphs and adversarial mutation mixes (edge
 growth, shrinking edges, node churn, greedy-order flips) and compare
 exhaustively.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +21,11 @@ from hypothesis import strategies as st
 
 from repro.core import flatgraph
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import generate_candidates
-from repro.core.partitioner import IncrementalPartitioner, Partitioner
+from repro.core.partitioner import (
+    IncrementalPartitioner,
+    PartitionDecision,
+    Partitioner,
+)
 from repro.core.policy import (
     BestEffortCpuPolicy,
     CombinedPartitionPolicy,
@@ -28,7 +34,8 @@ from repro.core.policy import (
     MemoryPartitionPolicy,
     PartitionPolicy,
 )
-from repro.errors import PartitioningError
+from repro.errors import NoBeneficialPartitionError, PartitioningError
+from tests.core.reference_mincut import reference_candidates
 
 POLICIES = (
     MemoryPartitionPolicy(0.20),
@@ -46,10 +53,22 @@ def make_context(graph: ExecutionGraph) -> EvaluationContext:
     )
 
 
-def assert_chain_matches(chain, legacy) -> None:
+def reference_decision(policy, graph, pinned, ctx) -> PartitionDecision:
+    """A cold reference chain judged by the policy's list ``evaluate``."""
+    candidates = reference_candidates(graph, pinned)
+    try:
+        decision = policy.evaluate(candidates, ctx)
+    except NoBeneficialPartitionError as refusal:
+        return PartitionDecision.refusal(str(refusal), len(candidates),
+                                         0.0, policy.name)
+    return Partitioner(policy)._accept(decision, len(candidates),
+                                       time.perf_counter())
+
+
+def assert_chain_matches(chain, reference) -> None:
     """Every candidate statistic and node set, exactly (floats too)."""
-    assert chain.k == len(legacy)
-    for got, want in zip(chain.candidates(), legacy):
+    assert chain.k == len(reference)
+    for got, want in zip(chain.candidates(), reference):
         assert got.client_nodes == want.client_nodes
         assert got.surrogate_nodes == want.surrogate_nodes
         assert got.cut_bytes == want.cut_bytes
@@ -59,18 +78,18 @@ def assert_chain_matches(chain, legacy) -> None:
         assert got.client_cpu == want.client_cpu
 
 
-def assert_decisions_match(flat, legacy) -> None:
+def assert_decisions_match(got, reference) -> None:
     """PartitionDecision parity (warm_start/cache flags may differ)."""
-    assert flat.beneficial == legacy.beneficial
-    assert flat.refusal_reason == legacy.refusal_reason
-    assert flat.offload_nodes == legacy.offload_nodes
-    assert flat.client_nodes == legacy.client_nodes
-    assert flat.cut_bytes == legacy.cut_bytes
-    assert flat.cut_count == legacy.cut_count
-    assert flat.freed_bytes == legacy.freed_bytes
-    assert flat.predicted_time == legacy.predicted_time
-    assert flat.original_time == legacy.original_time
-    assert flat.policy_name == legacy.policy_name
+    assert got.beneficial == reference.beneficial
+    assert got.refusal_reason == reference.refusal_reason
+    assert got.offload_nodes == reference.offload_nodes
+    assert got.client_nodes == reference.client_nodes
+    assert got.cut_bytes == reference.cut_bytes
+    assert got.cut_count == reference.cut_count
+    assert got.freed_bytes == reference.freed_bytes
+    assert got.predicted_time == reference.predicted_time
+    assert got.original_time == reference.original_time
+    assert got.policy_name == reference.policy_name
 
 
 @st.composite
@@ -104,10 +123,9 @@ class TestColdParity:
     @settings(max_examples=60, deadline=None)
     def test_cold_chain_matches_legacy(self, case):
         graph, pinned = case
-        legacy = generate_candidates(graph, pinned)
         fg = flatgraph.snapshot(graph)
-        assert fg is not None
-        assert_chain_matches(fg.generate_chain(pinned), legacy)
+        assert_chain_matches(fg.generate_chain(pinned),
+                             reference_candidates(graph, pinned))
 
     @given(graph_cases(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -115,16 +133,14 @@ class TestColdParity:
         graph, pinned = case
         ctx = make_context(graph)
         policy = POLICIES[policy_index]
-        flat = Partitioner(policy, use_flat=True).partition(
-            graph, pinned, ctx)
-        legacy = Partitioner(policy, use_flat=False).partition(
-            graph, pinned, ctx)
-        assert_decisions_match(flat, legacy)
+        flat = Partitioner(policy).partition(graph, pinned, ctx)
+        assert_decisions_match(
+            flat, reference_decision(policy, graph, pinned, ctx))
 
     def test_empty_graph_raises_like_legacy(self):
         graph = ExecutionGraph()
         with pytest.raises(PartitioningError):
-            generate_candidates(graph, [])
+            reference_candidates(graph, [])
         fg = flatgraph.snapshot(graph)
         with pytest.raises(PartitioningError):
             fg.generate_chain([])
@@ -136,7 +152,7 @@ class TestColdParity:
         graph.record_interaction("a", "b", 64)
         chain = flatgraph.snapshot(graph).generate_chain(["a"])
         assert chain.k == 1
-        assert_chain_matches(chain, generate_candidates(graph, ["a"]))
+        assert_chain_matches(chain, reference_candidates(graph, ["a"]))
 
     def test_all_pinned_yields_empty_chain(self):
         graph = ExecutionGraph()
@@ -148,19 +164,29 @@ class TestColdParity:
         assert chain.candidates() == []
 
     def test_negative_edge_weight_disables_flat_compile(self):
+        """A negative weight fails loudly on every partitioning path."""
         graph = ExecutionGraph()
         graph.add_memory("a", 100)
         graph.add_memory("b", 200)
         graph.record_interaction("a", "b", -64)
-        assert flatgraph.FlatGraph.try_compile(graph) is None
-        assert flatgraph.snapshot(graph) is None
-        # The partitioner transparently falls back to the legacy kernel.
+        with pytest.raises(PartitioningError, match="negative edge weight"):
+            flatgraph.FlatGraph.try_compile(graph)
+        with pytest.raises(PartitioningError, match="negative edge weight"):
+            flatgraph.snapshot(graph)
         ctx = make_context(graph)
-        flat = Partitioner(MemoryPartitionPolicy(0.20),
-                           use_flat=True).partition(graph, ["a"], ctx)
-        legacy = Partitioner(MemoryPartitionPolicy(0.20),
-                             use_flat=False).partition(graph, ["a"], ctx)
-        assert_decisions_match(flat, legacy)
+        policy = MemoryPartitionPolicy(0.20)
+        with pytest.raises(PartitioningError, match="negative edge weight"):
+            Partitioner(policy).partition(graph, ["a"], ctx)
+        with pytest.raises(PartitioningError, match="negative edge weight"):
+            IncrementalPartitioner(Partitioner(policy)).partition(
+                graph, ["a"], ctx)
+        # Mid-session too: the sync refuses, the recompile raises.
+        session = IncrementalPartitioner(Partitioner(policy))
+        graph.record_interaction("a", "b", 128)
+        session.partition(graph, ["a"], make_context(graph))
+        graph.record_interaction("a", "b", -128)
+        with pytest.raises(PartitioningError, match="negative edge weight"):
+            session.partition(graph, ["a"], make_context(graph))
 
 
 class TestFlatGraphStructure:
@@ -215,7 +241,7 @@ class TestFlatGraphStructure:
         assert fdelta is not None and fdelta.rebased
         assert fg.cb > old_cb
         assert_chain_matches(fg.generate_chain(["a"]),
-                             generate_candidates(graph, ["a"]))
+                             reference_candidates(graph, ["a"]))
 
     def test_sync_refuses_node_churn_and_unknown_names(self):
         graph = ExecutionGraph()
@@ -329,6 +355,7 @@ class TestSessionParity:
     @settings(max_examples=30, deadline=None)
     def test_session_matches_legacy_session(self, seed, epochs,
                                             policy_index):
+        """Each epoch of a repairing session matches a cold reference."""
         policy = POLICIES[policy_index]
         base = ExecutionGraph()
         names = [f"n{i:02d}" for i in range(10)]
@@ -339,27 +366,57 @@ class TestSessionParity:
         for _ in range(18):
             base.record_interaction(rng.choice(names), rng.choice(names),
                                     rng.randrange(1, 4096))
-        legacy_graph = base.copy()
 
-        flat = IncrementalPartitioner(Partitioner(policy, use_flat=True))
-        legacy = IncrementalPartitioner(
-            Partitioner(policy, use_flat=False))
+        session = IncrementalPartitioner(Partitioner(policy))
         pinned = [names[0], names[3]]
-
-        # Two independent-but-identical mutation streams: sessions drain
-        # their graph's dirty set, so each needs its own graph copy.
-        flat_rng = random.Random(seed + 1)
-        legacy_rng = random.Random(seed + 1)
-        flat_names, legacy_names = list(names), list(names)
+        mutation_rng = random.Random(seed + 1)
         for epoch in epochs:
             for kind in epoch:
-                self._apply(base, flat_names, kind, flat_rng)
-                self._apply(legacy_graph, legacy_names, kind, legacy_rng)
+                self._apply(base, names, kind, mutation_rng)
             ctx = make_context(base)
             assert_decisions_match(
-                flat.partition(base, pinned, ctx),
-                legacy.partition(legacy_graph, pinned, ctx),
+                session.partition(base, pinned, ctx),
+                reference_decision(policy, base, pinned, ctx),
             )
+
+    @pytest.mark.parametrize("policy_index", range(4))
+    def test_seeded_sessions_match_cold_reference_chains(self,
+                                                         policy_index):
+        """Ten-epoch sessions on 8-30 node graphs, chains compared too.
+
+        Larger graphs than the hypothesis case above make the repair
+        sweep splice and promote often, and the whole candidate chain —
+        not just the policy's pick — must equal a cold reference run.
+        """
+        policy = POLICIES[policy_index]
+        warm_hits = repair_epochs = 0
+        for seed in range(15):
+            rng = random.Random(1000 * policy_index + seed)
+            names = [f"n{i:02d}" for i in range(rng.randrange(8, 30))]
+            graph = ExecutionGraph()
+            for name in names:
+                graph.add_memory(name, rng.randrange(100, 8192))
+                # Mixed magnitudes: a reordered float sum would show.
+                graph.add_cpu(name,
+                              rng.random() * 10.0 ** rng.randrange(-6, 1))
+            for _ in range(len(names) * 2):
+                graph.record_interaction(rng.choice(names),
+                                         rng.choice(names),
+                                         rng.randrange(1, 4096))
+            pinned = [names[0], names[3]]
+            session = IncrementalPartitioner(Partitioner(policy))
+            for _ in range(10):
+                for _ in range(rng.randrange(0, 4)):
+                    self._apply(graph, names, rng.choice(self.KINDS), rng)
+                ctx = make_context(graph)
+                decision = session.partition(graph, pinned, ctx)
+                assert_chain_matches(session._last_chain,
+                                     reference_candidates(graph, pinned))
+                assert_decisions_match(
+                    decision, reference_decision(policy, graph, pinned, ctx))
+            warm_hits += session.stats.warm_hits
+            repair_epochs += session.stats.repair_epochs
+        assert warm_hits > 0 and repair_epochs > 0
 
     def test_warm_session_matches_forced_cold_session(self):
         rng = random.Random(7)
@@ -373,9 +430,8 @@ class TestSessionParity:
         cold_graph = base.copy()
         pinned = [names[0], names[5]]
         policy = MemoryPartitionPolicy(0.20)
-        warm = IncrementalPartitioner(Partitioner(policy, use_flat=True))
-        cold = IncrementalPartitioner(Partitioner(policy, use_flat=True),
-                                      force_cold=True)
+        warm = IncrementalPartitioner(Partitioner(policy))
+        cold = IncrementalPartitioner(Partitioner(policy), force_cold=True)
         warm_rng, cold_rng = random.Random(11), random.Random(11)
         edge_keys = [key for key, _ in base.edges()]
         for _ in range(15):
@@ -396,11 +452,10 @@ class TestSessionParity:
         graph.record_interaction("a", "b", 100)
         graph.record_interaction("b", "c", 10)
         ctx = make_context(graph)
-        flat = Partitioner(ThirdPartyPolicy(), use_flat=True).partition(
-            graph, ["a"], ctx)
-        legacy = Partitioner(ThirdPartyPolicy(), use_flat=False).partition(
-            graph, ["a"], ctx)
-        assert_decisions_match(flat, legacy)
+        policy = ThirdPartyPolicy()
+        flat = Partitioner(policy).partition(graph, ["a"], ctx)
+        assert_decisions_match(
+            flat, reference_decision(policy, graph, ["a"], ctx))
 
 
 class TestFallbackTaxonomy:
@@ -415,8 +470,7 @@ class TestFallbackTaxonomy:
             graph.record_interaction(rng.choice(names), rng.choice(names),
                                      rng.randrange(1, 4096))
         session = IncrementalPartitioner(
-            Partitioner(policy or MemoryPartitionPolicy(0.20),
-                        use_flat=True))
+            Partitioner(policy or MemoryPartitionPolicy(0.20)))
         return graph, names, session
 
     def test_node_churn_is_counted_and_recompiles(self):
@@ -453,7 +507,7 @@ class TestFallbackTaxonomy:
         graph.add_memory("b", 100)
         graph.record_interaction("a", "b", 32)
         session = IncrementalPartitioner(
-            Partitioner(MemoryPartitionPolicy(0.20), use_flat=True))
+            Partitioner(MemoryPartitionPolicy(0.20)))
         ctx = make_context(graph)
         session.partition(graph, ["a"], ctx)  # k == 1: warm never ready
         graph.record_interaction("a", "b", 8)
@@ -493,4 +547,4 @@ class TestFallbackTaxonomy:
                           + stats.fallback_shrunk_winner
                           + stats.fallback_budget
                           + stats.fallback_forced)
-        assert taxonomy_total <= stats.cold_runs
+        assert taxonomy_total == stats.cold_runs

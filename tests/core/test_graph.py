@@ -155,6 +155,19 @@ class TestSerialisation:
         assert clone.node("a").created_objects == 1
         assert clone.edge("a", "b").bytes == 1000
 
+    @pytest.mark.parametrize("field,value", [
+        ("memory_bytes", -1), ("cpu_seconds", -0.5),
+        ("bytes", -64), ("count", -1),
+    ])
+    def test_from_dict_rejects_negative_values(self, field, value):
+        data = make_triangle().to_dict()
+        if field in ("memory_bytes", "cpu_seconds"):
+            data["nodes"]["b"][field] = value
+        else:
+            data["edges"][0][field] = value
+        with pytest.raises(PartitioningError, match="negative"):
+            ExecutionGraph.from_dict(data)
+
     def test_copy_is_independent(self):
         graph = make_triangle()
         clone = graph.copy()

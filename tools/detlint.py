@@ -41,9 +41,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The modules whose behaviour feeds replay fingerprints, plus the
 #: partitioner core: candidate chains and their policy decisions must be
-#: bit-identical across runs (the flat/legacy parity suite depends on
-#: it), so the same no-wall-clock / no-set-iteration / seeded-random
-#: rules apply there.
+#: bit-identical across runs (the parity suite against the reference
+#: oracle in ``tests/core/reference_mincut.py`` depends on it), so the
+#: same no-wall-clock / no-set-iteration / seeded-random rules apply
+#: there.
 DEFAULT_TARGETS = (
     "src/repro/emulator/fleet.py",
     "src/repro/emulator/parallel.py",
