@@ -3,10 +3,13 @@
 Not a paper figure — these time the reproduction's hot paths so that
 regressions show up: the partitioning heuristic on graphs of increasing
 size (the paper quotes ~0.1 s for a ~134-class graph on a 600 MHz
-Pentium) and the emulator's replay throughput in events per second.
+Pentium), the emulator's replay throughput in events per second, and
+the fleet's serving simulation at growing client counts.
 """
 
+import gc
 import random
+import time
 
 import pytest
 
@@ -15,8 +18,11 @@ from repro.core.graph import ExecutionGraph
 from repro.core.partitioner import Partitioner
 from repro.core.policy import EvaluationContext, MemoryPartitionPolicy
 from repro.emulator import Emulator
+from repro.emulator.fleet import ClientDemand, FleetConfig, _FleetSimulation
 from repro.experiments import cached_trace, memory_emulator_config
 from repro.experiments.exp_overhead import MEMORY_WORKLOADS
+from repro.platform.multi import place_fleet_clients
+from repro.units import MB
 
 
 def synthetic_graph(node_count: int, edges_per_node: int = 6,
@@ -71,3 +77,82 @@ def test_perf_replay_throughput(benchmark):
     print(f"\nreplay throughput: {events_per_second:,.0f} events/s "
           f"over {len(trace)} events")
     assert events_per_second > 100_000
+
+
+#: The perfbench fleet's six (app, heap) profiles as demand profiles
+#: (service s, partition bytes, re-offload s, predicted load), rounded
+#: from its seed-1 replays.  Only the 6 MB dia client offloads, so its
+#: partition is the one that fills the 24 MB surrogate heaps and evicts.
+FLEET_MIX = (
+    (312.6, 5_750_900, 4.18, 36263.0),   # dia @ 6 MB: offloads, evicts
+    (287.7, 0, 0.0, 36263.0),            # dia @ 8 MB
+    (354.0, 0, 0.0, 47584.0),            # voxel @ 6 MB
+    (354.0, 0, 0.0, 47584.0),            # voxel @ 8 MB
+    (322.3, 0, 0.0, 98433.0),            # tracer @ 6 MB
+    (322.3, 0, 0.0, 98433.0),            # tracer @ 8 MB
+)
+FLEET_BENCH_CONFIG = FleetConfig(
+    surrogates=8, admission_cap=6, bursts_per_client=3,
+    think_time_s=20.0, heap_capacity=24 * MB, eviction_watermark=0.85,
+    rebalance_threshold=3, rebalance_patience=2,
+)
+
+
+def synthetic_fleet(clients: int, seed: int = 1):
+    rng = random.Random(f"fleet-scale:{seed}")
+    demands = []
+    for index in range(clients):
+        service, size, reoffload, load = FLEET_MIX[rng.randrange(6)]
+        demands.append(ClientDemand(
+            client_id=f"client-{index:05d}", events=1, service_s=service,
+            partition_bytes=size, reoffload_s=reoffload,
+            predicted_load=load, replay_sha="synthetic",
+        ))
+    placement = place_fleet_clients(
+        {d.client_id: d.predicted_load for d in demands},
+        [f"surrogate-{i:02d}"
+         for i in range(FLEET_BENCH_CONFIG.surrogates)],
+    )
+    return demands, placement
+
+
+def test_perf_fleet_schedule_scales():
+    """The serving simulation grows ~linearly in the client count.
+
+    Timed like ``timeit``: the cyclic collector is off while a sample
+    runs, because a collection pass costs time in proportion to the
+    whole process heap, not to the simulation.  One sample repeats the
+    smaller fleets so that every sample spans about the same wall time
+    (4800 client-runs), and the sizes are interleaved round by round, so
+    a shared host's speed drift hits every size alike.  Each size keeps
+    its best of three samples, per run.
+    """
+    sizes = (1200, 2400, 4800)
+    fleets = {clients: synthetic_fleet(clients) for clients in sizes}
+    best = {clients: float("inf") for clients in sizes}
+    for _ in range(3):
+        for clients in sizes:
+            demands, placement = fleets[clients]
+            repeats = sizes[-1] // clients
+            simulations = [
+                _FleetSimulation(demands, placement, FLEET_BENCH_CONFIG)
+                for _ in range(repeats)
+            ]
+            gc.collect()
+            gc.disable()
+            try:
+                started = time.perf_counter()
+                for simulation in simulations:
+                    simulation.run()
+                elapsed = (time.perf_counter() - started) / repeats
+            finally:
+                gc.enable()
+            best[clients] = min(best[clients], elapsed)
+            outcomes = simulations[-1].outcomes
+            assert all(o.completed for o in outcomes)
+            assert sum(o.evictions for o in outcomes) > 0
+    print("\nfleet schedule: " + ", ".join(
+        f"{n} clients {t * 1e3:.1f} ms" for n, t in best.items())
+        + f"; 4800/1200 = {best[4800] / best[1200]:.2f}x")
+    # 4x the clients: linear is 4x; the old per-event scans gave >5x.
+    assert best[4800] <= 5.0 * best[1200]

@@ -247,7 +247,7 @@ def _fleet_run(source: str, clients: int, surrogates: int,
             heap_capacity=int(surrogate_heap_mb * MB),
         )
         emulator = FleetEmulator(
-            replicate(trace, config, clients=max(clients, 1)),
+            replicate(trace, config, clients=clients),
             fleet_config, workers=workers)
     except ConfigurationError as exc:
         print(f"bad fleet configuration: {exc}", file=sys.stderr)
@@ -392,7 +392,25 @@ def main(argv=None) -> int:
                        link_profile=args.link_profile,
                        mobility=args.mobility)
     if targets[0] == "fleet":
-        if len(targets) < 2 or targets[1] != "run" or len(targets) > 3:
+        # Options the fleet does not model fail loudly rather than
+        # being silently dropped.
+        unsupported = [flag for flag, given in (
+            ("--faults", args.faults is not None),
+            ("--link-profile", args.link_profile is not None),
+            ("--no-offload", args.no_offload),
+            ("--json", args.json is not None),
+        ) if given]
+        problems = []
+        if unsupported:
+            problems.append(
+                f"fleet run does not support {', '.join(unsupported)}")
+        if args.clients < 1:
+            problems.append(
+                f"fleet run needs --clients >= 1, got {args.clients}")
+        if (len(targets) < 2 or targets[1] != "run" or len(targets) > 3
+                or problems):
+            for problem in problems:
+                print(problem, file=sys.stderr)
             print("usage: python -m repro fleet run [<path|app>] "
                   "[--clients N] [--surrogates M] [--admission-cap N] "
                   "[--admission-policy queue|reject] [--workers N] "

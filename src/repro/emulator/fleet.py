@@ -31,6 +31,16 @@ sharded replay core:
    the next touch), and a **rebalance trigger** that moves queued
    clients off a persistently overloaded member.
 
+The event loop is indexed, so an event costs O(log N) rather than a
+scan of the pool or of every session: each member keeps a heap of its
+active sessions keyed ``(vfinish, client_id)``, the simulation keeps a
+heap of member completion times keyed ``(time, member index)`` with
+version-stamped stale entries, and each member keeps an index of its
+idle resident sessions for eviction.  The keys reproduce the scans'
+tie-breaks and every float is computed in the same order, so outcomes
+are bit-identical to the scan-based reference in
+``tests/emulator/reference_fleet.py``.
+
 The simulation is single-threaded and entirely virtual-time, so the
 fleet fingerprint is invariant under the drive side's worker count —
 the same merge discipline the sharded replayer enforces.
@@ -308,7 +318,8 @@ class _Member:
 
     __slots__ = (
         "name", "index", "cap", "stats", "active", "queue",
-        "resident_bytes", "vservice", "last_t", "speed",
+        "idle_residents", "resident_bytes", "vservice", "last_t", "speed",
+        "version",
     )
 
     def __init__(self, name: str, index: int, cap: int,
@@ -318,11 +329,21 @@ class _Member:
         self.cap = cap
         self.speed = speed
         self.stats = SurrogateStats(name=name)
-        self.active: Dict[str, _Session] = {}
+        #: Admitted sessions, a heap keyed ``(vfinish, client_id)``.
+        #: ``vfinish`` is fixed at admission and the only session ever
+        #: removed is the minimum, so a plain heap needs no lazy
+        #: deletion.
+        self.active: List[Tuple[float, str, _Session]] = []
         self.queue: deque = deque()
+        #: Resident sessions that are idle or queued — the only
+        #: eviction candidates — in insertion order.
+        self.idle_residents: Dict[str, _Session] = {}
         self.resident_bytes = 0
         self.vservice = 0.0
         self.last_t = 0.0
+        #: Bumped on every admission and completion; entries of the
+        #: simulation's completion heap with an older version are stale.
+        self.version = 0
 
     def advance(self, t: float) -> None:
         """Accrue shared service up to virtual time ``t``."""
@@ -332,14 +353,11 @@ class _Member:
             )
         self.last_t = t
 
-    def next_completion(self) -> Tuple[float, Optional[str]]:
+    def next_completion(self) -> float:
         if not self.active:
-            return math.inf, None
-        cid, session = min(
-            self.active.items(), key=lambda item: (item[1].vfinish, item[0])
-        )
-        owed = max(0.0, session.vfinish - self.vservice)
-        return self.last_t + owed * len(self.active) / self.speed, cid
+            return math.inf
+        owed = max(0.0, self.active[0][0] - self.vservice)
+        return self.last_t + owed * len(self.active) / self.speed
 
 
 class _FleetSimulation:
@@ -380,6 +398,10 @@ class _FleetSimulation:
         #: sequence breaks ties deterministically (insertion order).
         self._wakes: List[Tuple[float, int, str]] = []
         self._wake_seq = 0
+        #: Member completion times: (time, member index, version).  An
+        #: entry is live while its version is the member's; ties break
+        #: by pool order, as a strict ``<`` scan in index order would.
+        self._completions: List[Tuple[float, int, int]] = []
         self.rebalances = 0
         self._imbalance_streak = 0
         self.makespan_s = 0.0
@@ -390,26 +412,37 @@ class _FleetSimulation:
         heapq.heappush(self._wakes, (t, self._wake_seq, client_id))
         self._wake_seq += 1
 
+    def _reschedule(self, member: _Member) -> None:
+        """Publish ``member``'s next completion after its state changed."""
+        member.version += 1
+        if member.active:
+            heapq.heappush(
+                self._completions,
+                (member.next_completion(), member.index, member.version),
+            )
+
     def run(self) -> None:
         for cid in sorted(self.sessions):
             self._schedule_wake(0.0, cid)
+        members = self.members
+        completions = self._completions
+        wakes = self._wakes
         while True:
-            wake_t = self._wakes[0][0] if self._wakes else math.inf
-            done_t = math.inf
-            done_member: Optional[_Member] = None
-            for member in self.members:
-                t, cid = member.next_completion()
-                if t < done_t:
-                    done_t, done_member = t, member
-            if done_t is math.inf and wake_t is math.inf:
+            while (completions and completions[0][2]
+                   != members[completions[0][1]].version):
+                heapq.heappop(completions)
+            if not completions and not wakes:
                 break
+            done_t = completions[0][0] if completions else math.inf
+            wake_t = wakes[0][0] if wakes else math.inf
             # Completions run first at equal times: a freed slot must
             # be visible to an admission decision at the same instant.
             if done_t <= wake_t:
-                self._complete_one(done_member, done_t)
+                _, index, _ = heapq.heappop(completions)
+                self._complete_one(members[index], done_t)
                 self._maybe_rebalance(done_t)
             else:
-                t, _, cid = heapq.heappop(self._wakes)
+                t, _, cid = heapq.heappop(wakes)
                 self._arrive(self.sessions[cid], t)
 
     # -- admission, service, eviction -------------------------------------
@@ -465,10 +498,13 @@ class _FleetSimulation:
         member.stats.quanta_served += demand_quanta
         session.vfinish = member.vservice + session.remaining_s
         session.last_touch = t
-        member.active[session.demand.client_id] = session
+        cid = session.demand.client_id
+        member.idle_residents.pop(cid, None)
+        heapq.heappush(member.active, (session.vfinish, cid, session))
         member.stats.admissions += 1
         if len(member.active) > member.stats.peak_active:
             member.stats.peak_active = len(member.active)
+        self._reschedule(member)
 
     def _make_room(self, member: _Member, incoming: _Session) -> None:
         """Evict coldest idle partitions until the watermark holds."""
@@ -478,11 +514,7 @@ class _FleetSimulation:
         if needed <= limit:
             return
         idle = sorted(
-            (
-                s for s in self.sessions.values()
-                if s.surrogate is member and s.resident
-                and s.state in ("idle", "queued")
-            ),
+            member.idle_residents.values(),
             key=lambda s: (s.last_touch, s.demand.client_id),
         )
         for victim in idle:
@@ -491,6 +523,7 @@ class _FleetSimulation:
             # Zero-wire repatriation (the surrogate-loss recovery
             # path): dropping a cold partition costs nothing now; the
             # owner pays the re-offload on its next touch.
+            del member.idle_residents[victim.demand.client_id]
             victim.resident = False
             victim.evicted = True
             victim.outcome.evictions += 1
@@ -502,18 +535,14 @@ class _FleetSimulation:
 
     def _release_partition(self, session: _Session) -> None:
         if session.resident:
-            session.surrogate.resident_bytes -= (
-                session.demand.partition_bytes
-            )
+            member = session.surrogate
+            member.resident_bytes -= session.demand.partition_bytes
+            member.idle_residents.pop(session.demand.client_id, None)
             session.resident = False
 
     def _complete_one(self, member: _Member, t: float) -> None:
         member.advance(t)
-        cid, session = min(
-            member.active.items(),
-            key=lambda item: (item[1].vfinish, item[0]),
-        )
-        del member.active[cid]
+        _, cid, session = heapq.heappop(member.active)
         session.last_touch = t
         session.bursts_left -= 1
         if session.bursts_left <= 0:
@@ -526,7 +555,9 @@ class _FleetSimulation:
                 self.makespan_s = t
         else:
             session.state = "idle"
+            member.idle_residents[cid] = session
             self._schedule_wake(t + self.config.think_time_s, cid)
+        self._reschedule(member)
         self._drain_queue(member, t)
 
     def _drain_queue(self, member: _Member, t: float) -> None:
@@ -635,7 +666,7 @@ class FleetEmulator:
 
     @staticmethod
     def _demand_from(shard: ReplayShard, replay: ClientReplay,
-                     predicted: float) -> ClientDemand:
+                     predicted: float, replay_sha: str) -> ClientDemand:
         result = replay.result
         return ClientDemand(
             client_id=shard.client_id,
@@ -644,9 +675,7 @@ class FleetEmulator:
             partition_bytes=result.migration_bytes,
             reoffload_s=result.migration_time,
             predicted_load=predicted,
-            replay_sha=hashlib.sha256(
-                result.fingerprint().encode("utf-8")
-            ).hexdigest(),
+            replay_sha=replay_sha,
         )
 
     def _replay_demands(self):
@@ -665,8 +694,13 @@ class FleetEmulator:
         for members in groups.values():
             replay = by_id[members[0].client_id]
             predicted = self._predicted_load(members[0], replay.events)
+            # One hash per group: every member shares the replay.
+            replay_sha = hashlib.sha256(
+                replay.result.fingerprint().encode("utf-8")
+            ).hexdigest()
             for shard in members:
-                demands.append(self._demand_from(shard, replay, predicted))
+                demands.append(self._demand_from(shard, replay, predicted,
+                                                 replay_sha))
         warnings = list(aggregate.warnings)
         if len(representatives) < len(self.shards):
             warnings.append(

@@ -6,9 +6,17 @@ and footprints); the end-to-end path — replay, dedup, placement,
 fingerprint — runs against the cached dia trace.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.emulator import (
     ColumnarTrace,
@@ -182,6 +190,57 @@ class TestEviction:
         sim = simulate([demand("a", size=MB)], config)
         assert sim.members[0].resident_bytes == 0
         assert sim.members[0].stats.peak_resident_bytes == MB
+
+
+#: A small fleet that evicts and rebalances: tight heaps, three bursts,
+#: and most clients placed on one member.  Prints its fingerprint and
+#: the counts that show both mechanisms fired.
+_HASH_SEED_FLEET = textwrap.dedent("""
+    import json
+    from repro.emulator.fleet import (
+        ClientDemand, FleetConfig, FleetResult, _FleetSimulation)
+    from repro.units import MB
+
+    config = FleetConfig(
+        surrogates=3, admission_cap=2, heap_capacity=3 * MB,
+        bursts_per_client=3, think_time_s=2.0,
+        rebalance_threshold=2, rebalance_patience=1)
+    demands = [
+        ClientDemand(client_id=f"client-{i:03d}", events=10,
+                     service_s=0.5 + (i % 5) * 0.25,
+                     partition_bytes=(1 + i % 3) * MB // 2,
+                     reoffload_s=0.1, predicted_load=1.0,
+                     replay_sha=f"sha-{i}")
+        for i in range(60)
+    ]
+    placement = {
+        d.client_id: f"surrogate-{0 if i % 4 else 1 + i % 2:02d}"
+        for i, d in enumerate(demands)
+    }
+    simulation = _FleetSimulation(demands, placement, config)
+    simulation.run()
+    result = FleetResult(config=config, outcomes=simulation.outcomes,
+                         rebalances=simulation.rebalances)
+    print(json.dumps({"fingerprint": result.fingerprint(),
+                      "evictions": result.total_evictions,
+                      "rebalances": result.rebalances}))
+""")
+
+
+def test_fleet_fingerprint_is_hash_seed_independent():
+    """String hashing is randomised per interpreter; the fleet's
+    indexes must not let that order leak into outcomes."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    runs = []
+    for hash_seed in ("0", "17"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_FLEET], env=env,
+            capture_output=True, text=True, check=True)
+        runs.append(json.loads(proc.stdout))
+    assert runs[0]["evictions"] > 0
+    assert runs[0]["rebalances"] > 0
+    assert runs[0] == runs[1]
 
 
 class TestPlacement:

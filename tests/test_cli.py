@@ -174,6 +174,37 @@ class TestShardedReplayCli:
         assert main(["fleet", "run", "--surrogates", "0"]) == 2
         assert "bad fleet configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clients", ["0", "-3"])
+    def test_fleet_needs_at_least_one_client(self, capsys, clients):
+        assert main(["fleet", "run", "--clients", clients]) == 2
+        err = capsys.readouterr().err
+        assert "--clients >= 1" in err
+        assert "usage" in err
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--faults", "loss=0.5"], "--faults"),
+        (["--link-profile", "wan"], "--link-profile"),
+        (["--no-offload"], "--no-offload"),
+        (["--json"], "--json"),
+        (["--json", "out.json"], "--json"),
+    ])
+    def test_fleet_rejects_options_it_does_not_model(self, capsys, extra,
+                                                     flag):
+        assert main(["fleet", "run", "--clients", "2"] + extra) == 2
+        captured = capsys.readouterr()
+        assert f"does not support {flag}" in captured.err
+        assert "usage" in captured.err
+        assert captured.out == ""
+
+    def test_fleet_reports_every_misuse_at_once(self, capsys):
+        assert main(["fleet", "run", "--clients", "0", "--faults",
+                     "loss=0.5", "--no-offload", "--link-profile",
+                     "wan"]) == 2
+        err = capsys.readouterr().err
+        assert "does not support --faults, --link-profile, --no-offload" \
+            in err
+        assert "--clients >= 1, got 0" in err
+
     def test_record_suffix_picks_format_and_replays_identically(
             self, tmp_path, capsys):
         from repro.emulator import Trace, read_ctrace
