@@ -327,11 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--clients", type=int, default=1, metavar="N",
                         help="emulated clients for 'replay' (default 1; "
                              "each replays the trace independently)")
-    parser.add_argument("--format", dest="trace_format", default="auto",
+    parser.add_argument("--format", dest="trace_format", default=None,
                         choices=("auto", "sarif"),
                         help="for 'analyze': 'sarif' renders the "
                              "diagnostics as a SARIF 2.1.0 log (to "
-                             "--json PATH, or stdout)")
+                             "--json PATH, or stdout; default: auto)")
     parser.add_argument("--surrogates", type=int, default=4, metavar="M",
                         help="surrogate pool size for 'fleet run' "
                              "(default 4)")
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "profile (e.g. wavelan-wan-roam) or "
                              "step=T:LINK,ramp=T0:T1:FROM:TO[:STEPS],"
                              "link=T:NAME:BPS:LAT,down=T0:T1")
-    parser.add_argument("--mobility", default="handoff",
+    parser.add_argument("--mobility", default=None,
                         choices=("none", "handoff", "repatriate"),
                         help="reaction to a degrading link under "
                              "--link-profile (default: handoff)")
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
                        args.faults, workers=args.workers,
                        clients=args.clients,
                        link_profile=args.link_profile,
-                       mobility=args.mobility)
+                       mobility=args.mobility or "handoff")
     if targets[0] == "fleet":
         # Options the fleet does not model fail loudly rather than
         # being silently dropped.
@@ -399,6 +399,8 @@ def main(argv=None) -> int:
             ("--link-profile", args.link_profile is not None),
             ("--no-offload", args.no_offload),
             ("--json", args.json is not None),
+            ("--mobility", args.mobility is not None),
+            ("--format", args.trace_format is not None),
         ) if given]
         problems = []
         if unsupported:
@@ -436,7 +438,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         return _analyze(targets[1], args.json,
-                        sarif=args.trace_format == "sarif")
+                        sarif=(args.trace_format or "auto") == "sarif")
     if targets == ["list"]:
         print("available experiments:")
         for name, description in DESCRIPTIONS.items():

@@ -187,6 +187,10 @@ class TestShardedReplayCli:
         (["--no-offload"], "--no-offload"),
         (["--json"], "--json"),
         (["--json", "out.json"], "--json"),
+        (["--mobility", "none"], "--mobility"),
+        (["--mobility", "handoff"], "--mobility"),
+        (["--format", "sarif"], "--format"),
+        (["--format", "auto"], "--format"),
     ])
     def test_fleet_rejects_options_it_does_not_model(self, capsys, extra,
                                                      flag):
@@ -195,6 +199,26 @@ class TestShardedReplayCli:
         assert f"does not support {flag}" in captured.err
         assert "usage" in captured.err
         assert captured.out == ""
+
+    def test_replay_and_analyze_keep_their_defaults(self, monkeypatch):
+        import repro.__main__ as cli
+
+        seen = {}
+        monkeypatch.setattr(
+            cli, "_replay",
+            lambda *args, **kwargs: seen.setdefault("replay", kwargs) and 0)
+        monkeypatch.setattr(
+            cli, "_analyze",
+            lambda *args, **kwargs: seen.setdefault("analyze", kwargs) and 0)
+        assert main(["replay", "dia"]) == 0
+        assert main(["analyze", "dia"]) == 0
+        assert seen["replay"]["mobility"] == "handoff"
+        assert seen["analyze"]["sarif"] is False
+        seen.clear()
+        assert main(["replay", "dia", "--mobility", "none"]) == 0
+        assert main(["analyze", "dia", "--format", "sarif"]) == 0
+        assert seen["replay"]["mobility"] == "none"
+        assert seen["analyze"]["sarif"] is True
 
     def test_fleet_reports_every_misuse_at_once(self, capsys):
         assert main(["fleet", "run", "--clients", "0", "--faults",
