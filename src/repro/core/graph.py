@@ -106,10 +106,11 @@ class ExecutionGraph:
     repeatedly re-read the graph (copy-on-write snapshots, warm-started
     partitioning) can do work proportional to the *change* since their
     last visit.  Mutations must go through these entry points.  The one
-    exception is a batch writer (the replay loop) that adds straight
-    onto the ``NodeStats``/``EdgeStats`` objects of existing nodes and
-    edges: it must report what it touched through :meth:`note_updated`
-    before anything reads the graph.
+    exception is the batch writer (:mod:`repro.core.recorder`, behind
+    both the replay loop and the live monitor) that adds straight onto
+    the ``NodeStats``/``EdgeStats`` objects of existing nodes and edges:
+    it must report what it touched through :meth:`note_updated` before
+    anything reads the graph.
     """
 
     def __init__(self) -> None:

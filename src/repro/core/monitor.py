@@ -19,7 +19,8 @@ from typing import Dict, Optional, Set
 from ..vm.gc import GCReport
 from ..vm.hooks import AccessRecord, ExecutionListener, InvokeRecord
 from ..vm.objectmodel import JObject
-from .graph import ExecutionGraph, GraphDelta, object_node_id
+from .graph import ExecutionGraph, GraphDelta
+from .recorder import GraphRecorder
 
 #: Approximate in-memory cost of one graph node / edge, used for the
 #: "graph occupies a small amount of storage" measurement.
@@ -95,7 +96,22 @@ class SampledSeries:
 
 
 class ExecutionMonitor(ExecutionListener):
-    """Builds the execution graph from hook events."""
+    """Builds the execution graph from hook events.
+
+    Events go through a :class:`~repro.core.recorder.GraphRecorder`,
+    the same writer the trace replayer uses: they add onto the graph's
+    cached stats objects and the touched nodes and edges are reported
+    dirty once per segment.  A segment ends wherever the graph is read
+    — :meth:`snapshot`, a GC report, and every read of :attr:`graph` —
+    so readers always see a graph equal to one written a call per event
+    (only its ``version`` advances once per segment).
+
+    Besides the record-taking hooks the monitor offers their
+    record-free twins, :meth:`invoked` and :meth:`accessed`: when no
+    other subscriber needs an :class:`~repro.vm.hooks.InvokeRecord` or
+    :class:`~repro.vm.hooks.AccessRecord`, the execution context calls
+    those and builds no record at all.
+    """
 
     def __init__(
         self, object_granularity_classes: Optional[Set[str]] = None,
@@ -106,7 +122,8 @@ class ExecutionMonitor(ExecutionListener):
         # run's interaction history.  Callers should pass a profile
         # produced by :func:`repro.core.hints.interaction_profile`, so
         # stale live-memory numbers are not inherited.
-        self.graph = profile.copy() if profile is not None else ExecutionGraph()
+        self._graph = (profile.copy() if profile is not None
+                       else ExecutionGraph())
         self.counters = MonitorCounters()
         self.remote = RemoteCounters()
         #: Classes whose instances get their own graph node (the
@@ -115,6 +132,8 @@ class ExecutionMonitor(ExecutionListener):
         self.object_granularity_classes: Set[str] = set(
             object_granularity_classes or ()
         )
+        self._recorder = GraphRecorder(self._graph,
+                                       self.object_granularity_classes)
         self._live_objects = 0
         self._live_classes: Dict[str, int] = {}
         self.classes_series = SampledSeries()
@@ -129,6 +148,12 @@ class ExecutionMonitor(ExecutionListener):
         self._snapshot_version: int = -1
         self.last_snapshot_delta: Optional[GraphDelta] = None
 
+    @property
+    def graph(self) -> ExecutionGraph:
+        """The execution graph, with every event so far reported."""
+        self._recorder.flush()
+        return self._graph
+
     def merge_profile(self, profile: ExecutionGraph) -> None:
         """Fold a predicted or prior interaction profile into the graph.
 
@@ -141,28 +166,12 @@ class ExecutionMonitor(ExecutionListener):
         dirty sets, so the next snapshot carries the seed into the
         partitioning session.
         """
-        for node_id in profile.nodes():
-            stats = profile.node(node_id)
-            self.graph.ensure_node(node_id)
-            if stats.cpu_seconds:
-                self.graph.add_cpu(node_id, stats.cpu_seconds)
-        for (a, b), edge in profile.edges():
-            self.graph.record_interaction(a, b, edge.bytes,
-                                          count=edge.count)
-
-    # -- node naming -----------------------------------------------------------
-
-    def node_for(self, class_name: str, oid: Optional[int]) -> str:
-        if oid is not None and class_name in self.object_granularity_classes:
-            return object_node_id(class_name, oid)
-        return class_name
+        self._recorder.merge(profile)
 
     # -- hook implementations -----------------------------------------------------
 
     def on_alloc(self, obj: JObject, site: str) -> None:
-        node = self.node_for(obj.class_name, obj.oid)
-        self.graph.add_memory(node, obj.size_bytes)
-        self.graph.note_object_created(node)
+        self._recorder.alloc(obj.class_name, obj.oid, obj.size_bytes)
         self.counters.objects_created += 1
         self.counters.allocations_bytes += obj.size_bytes
         self._live_objects += 1
@@ -171,13 +180,11 @@ class ExecutionMonitor(ExecutionListener):
         )
 
     def on_free(self, obj: JObject) -> None:
-        node = self.node_for(obj.class_name, obj.oid)
-        # A missing node (e.g. a warm-start profile that never saw this
-        # class allocate) only skips the graph update; the aggregate
-        # counters must stay consistent with the event stream.
-        if self.graph.has_node(node):
-            self.graph.add_memory(node, -obj.size_bytes)
-            self.graph.note_object_freed(node)
+        # A free whose node is not in the graph (e.g. a warm-start
+        # profile that never saw this class allocate) only skips the
+        # graph update; the aggregate counters must stay consistent
+        # with the event stream.
+        self._recorder.free(obj.class_name, obj.oid, obj.size_bytes)
         self.counters.objects_freed += 1
         if self._live_objects > 0:
             self._live_objects -= 1
@@ -188,37 +195,59 @@ class ExecutionMonitor(ExecutionListener):
             self._live_classes[obj.class_name] = remaining
 
     def on_invoke(self, record: InvokeRecord) -> None:
-        caller = self.node_for(record.caller_class, record.caller_oid)
-        callee = self.node_for(record.callee_class, record.callee_oid)
-        nbytes = record.arg_bytes + record.ret_bytes
-        self.graph.record_interaction(caller, callee, nbytes)
+        self.invoked(
+            record.caller_class, record.caller_oid, record.callee_class,
+            record.callee_oid, record.arg_bytes + record.ret_bytes,
+            record.remote, record.is_native,
+        )
+
+    def invoked(self, caller_class: str, caller_oid: Optional[int],
+                callee_class: str, callee_oid: Optional[int], nbytes: int,
+                remote: bool, native: bool) -> None:
+        """Record-free :meth:`on_invoke`: one completed invocation that
+        moved ``nbytes`` of arguments and return value."""
+        self._recorder.interaction(caller_class, caller_oid, callee_class,
+                                   callee_oid, nbytes)
         self.counters.invocation_events += 1
-        if record.remote:
-            self.remote.remote_invocations += 1
-            self.remote.remote_bytes += nbytes
-            if record.is_native:
-                self.remote.remote_native_invocations += 1
+        if remote:
+            counters = self.remote
+            counters.remote_invocations += 1
+            counters.remote_bytes += nbytes
+            if native:
+                counters.remote_native_invocations += 1
 
     def on_access(self, record: AccessRecord) -> None:
-        accessor = self.node_for(record.accessor_class, record.accessor_oid)
-        owner = self.node_for(record.owner_class, record.owner_oid)
-        self.graph.record_interaction(accessor, owner, record.value_bytes)
+        self.accessed(
+            record.accessor_class, record.accessor_oid, record.owner_class,
+            record.owner_oid, record.value_bytes, record.remote,
+            record.cached,
+        )
+
+    def accessed(self, accessor_class: str, accessor_oid: Optional[int],
+                 owner_class: str, owner_oid: Optional[int], nbytes: int,
+                 remote: bool, cached: bool) -> None:
+        """Record-free :meth:`on_access`: one field or array access that
+        moved ``nbytes``."""
+        self._recorder.interaction(accessor_class, accessor_oid,
+                                   owner_class, owner_oid, nbytes)
         self.counters.access_events += 1
-        if record.remote:
-            if record.cached:
-                self.remote.cached_reads += 1
+        if remote:
+            counters = self.remote
+            if cached:
+                counters.cached_reads += 1
             else:
-                self.remote.remote_accesses += 1
-                self.remote.remote_bytes += record.value_bytes
+                counters.remote_accesses += 1
+                counters.remote_bytes += nbytes
 
     def on_cpu(self, class_name: str, site: str, seconds: float) -> None:
-        self.graph.add_cpu(class_name, seconds)
+        self._recorder.cpu(class_name, seconds)
 
     def on_gc_report(self, report: GCReport, site: str) -> None:
+        self._recorder.flush()
         self.last_gc_report = report
         self.classes_series.observe(len(self._live_classes))
         self.objects_series.observe(self._live_objects)
-        self.links_series.observe(self.graph.link_count)
+        self.links_series.observe(self._graph.link_count)
 
     # -- derived metrics ----------------------------------------------------------
 
@@ -259,7 +288,7 @@ class ExecutionMonitor(ExecutionListener):
         recompiling, and lets an incremental session hand the delta
         straight to ``FlatGraph.sync`` instead of diffing graphs.
         """
-        graph = self.graph
+        graph = self.graph  # flushes the recording segment
         delta = graph.drain_dirty()
         if self._snapshot is not None and delta.empty:
             self.last_snapshot_delta = delta

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..config import DeviceProfile, EnhancementFlags, GCConfig, JORNADA, PC_SURROGATE
-from ..core.graph import EdgeStats, ExecutionGraph, NodeStats, edge_key, object_node_id
+from ..core.graph import ExecutionGraph, object_node_id
 from ..core.hints import ColdStartSeed
 from ..core.partitioner import (
     IncrementalPartitioner,
@@ -35,6 +35,7 @@ from ..core.policy import (
     PartitionPolicy,
 )
 from ..core.reaction import ReactionController, ReactionSite
+from ..core.recorder import GraphRecorder
 from ..errors import ConfigurationError
 from ..net.faults import FaultReport, FaultSchedule, FaultSpec
 from ..net.link import LinkModel
@@ -69,8 +70,6 @@ CLIENT = "client"
 SURROGATE = "surrogate"
 MAIN = "<main>"
 INT_ARRAY = "int[]"
-#: Mask of the high node id in an interned edge key.
-_LOW32 = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -358,26 +357,9 @@ class TraceReplayer(ReactionSite):
         self._invoke_cost_memo: Dict[Tuple[int, int], float] = {}
         granular = config.flags.arrays_object_granularity
         self._granular_classes: Set[str] = {INT_ARRAY} if granular else set()
-        # Graph recording (see _flush_interactions).  Nodes are interned
-        # ints: a class node is its string-table id, an object node (at
-        # object granularity) gets the next free id on first sight.  An
-        # edge is the int key ``lo << 32 | hi`` of its two node ids.
-        self._node_names: List[str] = []
-        self._object_nodes: Dict[int, int] = {}
-        # The graph's own stats objects, cached by interned key once the
-        # node or edge went through a public entry point.
-        self._node_stats: Dict[int, NodeStats] = {}
-        self._edge_stats: Dict[int, EdgeStats] = {}
-        # What the current segment touched, reported to the graph as
-        # dirty in one call when the segment ends.
-        self._segment_nodes: Dict[int, NodeStats] = {}
-        self._segment_edges: Dict[int, EdgeStats] = {}
-        # Run-length buffer: consecutive interactions over the same node
-        # pair (tight guest loops are full of them) add up here and
-        # reach the edge as one batch; -1 = no run.
-        self._pend_key = -1
-        self._pend_bytes = 0
-        self._pend_count = 0
+        # Graph recording: interned node ids, cached stats, the pending
+        # same-pair run and per-segment dirty marking (repro.core.recorder).
+        self._recorder = GraphRecorder(self.graph, self._granular_classes)
         # The entry point is always a (pinned) graph node, even before
         # any interaction references it.
         self.graph.ensure_node(MAIN)
@@ -385,14 +367,7 @@ class TraceReplayer(ReactionSite):
             # Seed the graph with the predicted interaction structure
             # (edge traffic and CPU only — a profile carries no live
             # memory), so the first MINCUT runs on real shape.
-            for node_id in seed.profile.nodes():
-                stats = seed.profile.node(node_id)
-                self.graph.ensure_node(node_id)
-                if stats.cpu_seconds:
-                    self.graph.add_cpu(node_id, stats.cpu_seconds)
-            for (a, b), edge in seed.profile.edges():
-                self.graph.record_interaction(a, b, edge.bytes,
-                                              count=edge.count)
+            self._recorder.merge(seed.profile)
         # Clock and result.
         self._now = 0.0
         self.result = EmulationResult(
@@ -405,90 +380,6 @@ class TraceReplayer(ReactionSite):
         if oid is not None and class_name in self._granular_classes:
             return object_node_id(class_name, oid)
         return class_name
-
-    # -- batched graph updates ---------------------------------------------------
-
-    # The loop adds straight onto the cached stats of nodes and edges
-    # already in the segment; these helpers take the rest.  A first
-    # sight goes through the graph's public entry point, at the moment
-    # the per-event call would have made it, which keeps node and edge
-    # creation order and the graph's own error checks.
-
-    def _intern_object(self, class_id: int, oid: int) -> int:
-        node = len(self._node_names)
-        self._node_names.append(
-            object_node_id(self._node_names[class_id], oid))
-        self._object_nodes[oid] = node
-        return node
-
-    def _add_edge(self, key: int, nbytes: int, count: int) -> None:
-        """Add a run of ``count`` interactions to an edge."""
-        stats = self._edge_stats.get(key)
-        if stats is None:
-            names = self._node_names
-            a, b = names[key >> 32], names[key & _LOW32]
-            if a > b:
-                a, b = b, a
-            self.graph.record_interaction(a, b, nbytes, count=count)
-            stats = self.graph.edge(a, b)
-            self._edge_stats[key] = stats
-        else:
-            stats.count += count
-            stats.bytes += nbytes
-        self._segment_edges[key] = stats
-
-    def _add_cpu(self, class_id: int, seconds: float) -> None:
-        """Add CPU to a class (negative time raises, via the graph)."""
-        stats = self._node_stats.get(class_id)
-        if stats is None or seconds < 0:
-            name = self._node_names[class_id]
-            self.graph.add_cpu(name, seconds)
-            stats = self.graph.node(name)
-            self._node_stats[class_id] = stats
-        else:
-            stats.cpu_seconds += seconds
-        self._segment_nodes[class_id] = stats
-
-    def _add_object(self, node: int, size: int) -> None:
-        """Add a created object of ``size`` bytes to a node."""
-        stats = self._node_stats.get(node)
-        if stats is None or size < 0:
-            name = self._node_names[node]
-            self.graph.add_memory(name, size)
-            self.graph.note_object_created(name)
-            stats = self.graph.node(name)
-            self._node_stats[node] = stats
-        else:
-            stats.memory_bytes += size
-            stats.live_objects += 1
-            stats.created_objects += 1
-        self._segment_nodes[node] = stats
-
-    def _ensure_node(self, node: int) -> None:
-        self._node_stats[node] = self.graph.ensure_node(self._node_names[node])
-
-    def _flush_interactions(self) -> None:
-        """End the recording segment: apply the pending run and report
-        every node and edge the segment touched to the graph.
-
-        Runs before anything reads the graph: a partitioning attempt
-        (and its evaluation context) and the end of the run.
-        """
-        if self._pend_key >= 0:
-            self._add_edge(self._pend_key, self._pend_bytes,
-                           self._pend_count)
-            self._pend_key = -1
-            self._pend_bytes = 0
-            self._pend_count = 0
-        nodes, edges = self._segment_nodes, self._segment_edges
-        if nodes or edges:
-            names = self._node_names
-            self.graph.note_updated(
-                [names[n] for n in nodes],
-                [edge_key(names[k >> 32], names[k & _LOW32]) for k in edges],
-            )
-            nodes.clear()
-            edges.clear()
 
     # -- time ------------------------------------------------------------
 
@@ -605,9 +496,9 @@ class TraceReplayer(ReactionSite):
         GC cycles, partitioning attempts, surrogate-side reclaims,
         coalesced transfers, fault-gauntlet exchanges, and the clock
         thresholds (link-profile change points, reattachment after a
-        partition).  Graph recording adds onto cached stats objects and
-        reports what it touched once per segment (see
-        :meth:`_flush_interactions`).  The per-event reference
+        partition).  Graph recording goes through the shared
+        :class:`~repro.core.recorder.GraphRecorder`: it adds onto cached
+        stats objects and reports what it touched once per segment.  The per-event reference
         interpreter kept with the tests performs the same operations in
         the same order with the same floating-point arithmetic; the
         parity suites hold the two to bit-identical fingerprints and
@@ -658,17 +549,18 @@ class TraceReplayer(ReactionSite):
             sid for sid, name in enumerate(strings)
             if name in self._granular_classes
         }
-        # Graph recording by interned node id (see _flush_interactions).
-        self._node_names = list(strings)
-        object_node_get = self._object_nodes.get
-        intern_object = self._intern_object
-        segment_edge_get = self._segment_edges.get
-        segment_node_get = self._segment_nodes.get
-        known_nodes = self._node_stats
-        ensure_node = self._ensure_node
-        add_edge = self._add_edge
-        add_cpu = self._add_cpu
-        add_object = self._add_object
+        # Graph recording by interned node id: class ids are string ids.
+        recorder = self._recorder
+        recorder.intern_table(strings)
+        object_node_get = recorder.object_nodes.get
+        intern_object = recorder.intern_object
+        segment_edge_get = recorder.segment_edges.get
+        segment_node_get = recorder.segment_nodes.get
+        known_nodes = recorder.node_stats
+        ensure_node = recorder.ensure_node
+        add_edge = recorder.add_edge
+        add_cpu = recorder.add_cpu
+        add_object = recorder.add_object
         array_ids = {
             sid for sid, name in enumerate(strings)
             if name.endswith("[]")
@@ -1145,7 +1037,7 @@ class TraceReplayer(ReactionSite):
 
     def _finish_run(self) -> EmulationResult:
         """Close out a replay."""
-        self._flush_interactions()
+        self._recorder.flush()
         if self._coalescer is not None:
             self._coalescer.flush()
         reactions = self.reactions
@@ -1185,9 +1077,10 @@ class TraceReplayer(ReactionSite):
         self._allocs_since_gc = allocs_since_gc
         self._bytes_since_gc = bytes_since_gc
         self._last_reevaluation = last_reeval
-        self._pend_key = pend_key
-        self._pend_bytes = pend_bytes
-        self._pend_count = pend_count
+        recorder = self._recorder
+        recorder.pend_key = pend_key
+        recorder.pend_bytes = pend_bytes
+        recorder.pend_count = pend_count
         result.cpu_time_client = cpu_client
         result.cpu_time_surrogate = cpu_surrogate
         result.comm_time = comm_time
@@ -1207,12 +1100,13 @@ class TraceReplayer(ReactionSite):
         The last item is the loop's cold threshold, the reaction
         controller's ``next_poll_at``.
         """
+        recorder = self._recorder
         return (
             self._now, self._client_live, self._surrogate_live,
             self._allocs_since_gc, self._bytes_since_gc,
             self._last_reevaluation, self._class_on_surrogate,
-            self._pend_key, self._pend_bytes,
-            self._pend_count, self.result.comm_time,
+            recorder.pend_key, recorder.pend_bytes,
+            recorder.pend_count, self.result.comm_time,
             self.result.peak_client_bytes, self.reactions.link,
             self.reactions.next_poll_at,
         )
@@ -1268,10 +1162,7 @@ class TraceReplayer(ReactionSite):
             self._client_live -= size
         else:
             self._surrogate_live -= size
-        node = self._node_for(class_name, oid)
-        if self.graph.has_node(node):
-            self.graph.add_memory(node, -size)
-            self.graph.note_object_freed(node)
+        self._recorder.free(class_name, oid, size)
 
     def _gc_cycle(self, reason: str) -> None:
         if self._coalescer is not None:
@@ -1350,7 +1241,7 @@ class TraceReplayer(ReactionSite):
             # graph keeps growing, so the post-rediscovery epoch starts
             # warm.
             return
-        self._flush_interactions()
+        self._recorder.flush()
         if self._coalescer is not None:
             # Repartition barrier: decisions and migrations must not
             # observe buffered, un-charged operations.

@@ -338,7 +338,7 @@ class MultiSurrogatePlatform:
         vm.collector.subscribe(
             lambda report, site=vm.name: self.hooks.on_gc_report(report, site)
         )
-        vm.collector.subscribe_free(self.hooks.on_free)
+        vm.collector.subscribe_free(lambda obj: self.hooks.on_free(obj))
 
     def _install_cross_heap_gc(self) -> None:
         """Liveness across all sites: any site's heap or direct roots

@@ -226,9 +226,10 @@ class ExecutionContext:
         if self.monitoring_enabled:
             self.hooks.on_cpu(self.current_class, vm.name, reference_seconds)
 
-    def _charge_monitoring_event(self, site: str, events: int = 1) -> None:
-        if self.monitoring_enabled and self._event_cost > 0:
-            self.runtime.vm(site).charge_cpu(self._event_cost * events)
+    def _charge_monitoring_event(self, site: str) -> None:
+        """Charge one monitored event's instrumentation cost on ``site``
+        (callers skip the call when the cost is zero)."""
+        self.runtime.vm(site).charge_cpu(self._event_cost)
 
     # -- allocation -------------------------------------------------------------
 
@@ -245,7 +246,8 @@ class ExecutionContext:
         self.retain(obj)
         if self.monitoring_enabled:
             self.hooks.on_alloc(obj, vm.name)
-            self._charge_monitoring_event(vm.name)
+            if self._event_cost > 0:
+                self._charge_monitoring_event(vm.name)
         self._run_gc_if_due(vm)
         return obj
 
@@ -261,7 +263,8 @@ class ExecutionContext:
         self.retain(arr)
         if self.monitoring_enabled:
             self.hooks.on_alloc(arr, vm.name)
-            self._charge_monitoring_event(vm.name)
+            if self._event_cost > 0:
+                self._charge_monitoring_event(vm.name)
         self._run_gc_if_due(vm)
         return arr
 
@@ -360,23 +363,31 @@ class ExecutionContext:
                     exec_site, caller_site, message_size(ret_bytes)
                 )
         if self.monitoring_enabled:
-            record = InvokeRecord(
-                caller_class=caller_class,
-                caller_oid=caller_oid,
-                callee_class=callee_class,
-                callee_oid=target.oid if target else None,
-                method=mdef.name,
-                kind=mdef.kind.value,
-                native_stateless=mdef.stateless,
-                arg_bytes=arg_bytes,
-                ret_bytes=ret_bytes,
-                cpu_seconds=mdef.cpu_cost,
-                caller_site=caller_site,
-                exec_site=exec_site,
-                remote=remote,
-            )
-            self.hooks.on_invoke(record)
-            self._charge_monitoring_event(exec_site)
+            hooks = self.hooks
+            callee_oid = target.oid if target else None
+            invoked = hooks.invoked
+            if invoked is not None:
+                invoked(caller_class, caller_oid, callee_class, callee_oid,
+                        arg_bytes + ret_bytes, remote,
+                        mdef.kind is MethodKind.NATIVE)
+            else:
+                hooks.on_invoke(InvokeRecord(
+                    caller_class=caller_class,
+                    caller_oid=caller_oid,
+                    callee_class=callee_class,
+                    callee_oid=callee_oid,
+                    method=mdef.name,
+                    kind=mdef.kind.value,
+                    native_stateless=mdef.stateless,
+                    arg_bytes=arg_bytes,
+                    ret_bytes=ret_bytes,
+                    cpu_seconds=mdef.cpu_cost,
+                    caller_site=caller_site,
+                    exec_site=exec_site,
+                    remote=remote,
+                ))
+            if self._event_cost > 0:
+                self._charge_monitoring_event(exec_site)
         return result
 
     def _exec_site(self, mdef: MethodDef, target: Optional[JObject]) -> str:
@@ -432,23 +443,46 @@ class ExecutionContext:
             cache_key=RemoteReadCache.object_key(target.oid),
         )
         if self.monitoring_enabled:
-            self.hooks.on_access(
-                AccessRecord(
-                    accessor_class=self.current_class,
-                    accessor_oid=self.current_oid,
-                    owner_class=target.cls.name,
-                    owner_oid=target.oid,
-                    field=field_name,
-                    value_bytes=nbytes,
-                    is_write=is_write,
-                    is_static=False,
-                    accessor_site=accessor_site,
-                    exec_site=owner_site,
-                    remote=remote,
-                    cached=cached,
-                )
-            )
-            self._charge_monitoring_event(owner_site)
+            self._report_access(target.cls.name, target.oid, field_name,
+                                nbytes, is_write, False, accessor_site,
+                                owner_site, remote, cached)
+
+    def _report_access(
+        self, owner_class: str, owner_oid: Optional[int], field_name: str,
+        nbytes: int, is_write: bool, is_static: bool, accessor_site: str,
+        exec_site: str, remote: bool, cached: bool,
+    ) -> None:
+        """Hand one completed access to the hooks and charge its
+        monitoring cost.  The record is built only when a subscriber
+        needs it."""
+        frames = self._frames
+        if frames:
+            frame = frames[-1]
+            accessor_class, accessor_oid = frame.class_name, frame.oid
+        else:
+            accessor_class, accessor_oid = MAIN_CLASS, None
+        hooks = self.hooks
+        accessed = hooks.accessed
+        if accessed is not None:
+            accessed(accessor_class, accessor_oid, owner_class, owner_oid,
+                     nbytes, remote, cached)
+        else:
+            hooks.on_access(AccessRecord(
+                accessor_class=accessor_class,
+                accessor_oid=accessor_oid,
+                owner_class=owner_class,
+                owner_oid=owner_oid,
+                field=field_name,
+                value_bytes=nbytes,
+                is_write=is_write,
+                is_static=is_static,
+                accessor_site=accessor_site,
+                exec_site=exec_site,
+                remote=remote,
+                cached=cached,
+            ))
+        if self._event_cost > 0:
+            self._charge_monitoring_event(exec_site)
 
     def _remote_transfer(
         self,
@@ -519,23 +553,9 @@ class ExecutionContext:
             cache_key=RemoteReadCache.static_key(class_name),
         )
         if self.monitoring_enabled:
-            self.hooks.on_access(
-                AccessRecord(
-                    accessor_class=self.current_class,
-                    accessor_oid=self.current_oid,
-                    owner_class=class_name,
-                    owner_oid=None,
-                    field=field_name,
-                    value_bytes=nbytes,
-                    is_write=is_write,
-                    is_static=True,
-                    accessor_site=accessor_site,
-                    exec_site=client_site,
-                    remote=remote,
-                    cached=cached,
-                )
-            )
-            self._charge_monitoring_event(client_site)
+            self._report_access(class_name, None, field_name, nbytes,
+                                is_write, True, accessor_site, client_site,
+                                remote, cached)
 
     # -- array element access -----------------------------------------------------
 
@@ -565,19 +585,6 @@ class ExecutionContext:
         self._remote_transfer(accessor_site, owner_site, remote, nbytes,
                               is_write, cache_key=None)
         if self.monitoring_enabled:
-            self.hooks.on_access(
-                AccessRecord(
-                    accessor_class=self.current_class,
-                    accessor_oid=self.current_oid,
-                    owner_class=arr.cls.name,
-                    owner_oid=arr.oid,
-                    field="[]",
-                    value_bytes=nbytes,
-                    is_write=is_write,
-                    is_static=False,
-                    accessor_site=accessor_site,
-                    exec_site=owner_site,
-                    remote=remote,
-                )
-            )
-            self._charge_monitoring_event(owner_site)
+            self._report_access(arr.cls.name, arr.oid, "[]", nbytes,
+                                is_write, False, accessor_site, owner_site,
+                                remote, False)

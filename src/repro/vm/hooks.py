@@ -6,14 +6,19 @@ collector's free-memory reports.  :class:`ExecutionListener` is the
 Python face of those hooks: the execution monitor, the trace recorder,
 and tests all subscribe through it.
 
-Hook records are created for *every* guest interaction, so they are
-plain ``__slots__`` classes rather than dataclasses: no per-instance
+An invocation or access is handed to listeners as an
+:class:`InvokeRecord` or :class:`AccessRecord` whenever a subscriber
+needs one (the trace recorder does, for instance).  When every
+subscriber of the hook takes the record-free form instead (see
+:class:`HookFanout`), the execution context builds no record.  Records
+can still be built once per guest interaction, so they are plain
+``__slots__`` classes rather than dataclasses: no per-instance
 ``__dict__``, and the cheapest constructor Python offers.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .gc import GCReport
 from .objectmodel import JObject, MethodDef
@@ -191,87 +196,87 @@ class ExecutionListener:
         """A partition of classes was migrated between sites."""
 
 
+#: The hooks of :class:`ExecutionListener`, in declaration order.
+HOOKS = (
+    "on_alloc", "on_free", "on_invoke", "on_invoke_enter", "on_access",
+    "on_cpu", "on_gc_report", "on_offload",
+)
+
+
+def _ignore(*args) -> None:
+    """What a hook no subscriber overrides is bound to."""
+
+
+def _overrides(listener: ExecutionListener, hook: str) -> bool:
+    method = getattr(listener, hook)
+    return getattr(method, "__func__", None) is not getattr(
+        ExecutionListener, hook)
+
+
+def _dispatcher(handlers: List[Callable]) -> Callable:
+    if not handlers:
+        return _ignore
+    if len(handlers) == 1:
+        return handlers[0]
+
+    def broadcast(*args) -> None:
+        for handler in handlers:
+            handler(*args)
+
+    return broadcast
+
+
 class HookFanout(ExecutionListener):
     """Broadcasts each hook to an ordered list of listeners.
 
-    The common emulator configuration subscribes exactly one listener,
-    so that case dispatches directly to it instead of looping; ``_solo``
-    caches the listener whenever the list has exactly one entry.
+    Each hook attribute is bound to just the listeners that override
+    it, in subscription order: directly to the listener's method when
+    there is one, to a no-op when there is none.  The binding is redone
+    whenever a listener is added or removed, so callers must look a
+    hook up on the fanout when they call it, not keep the bound
+    attribute.
+
+    :attr:`invoked` and :attr:`accessed` are the record-free forms of
+    ``on_invoke`` and ``on_access``.  A listener offers them by defining
+    ``invoked(caller_class, caller_oid, callee_class, callee_oid,
+    nbytes, remote, native)`` and ``accessed(accessor_class,
+    accessor_oid, owner_class, owner_oid, nbytes, remote, cached)``,
+    equivalent to its record-taking hooks.  When every listener that
+    overrides the hook offers the form, the attribute is bound to those
+    forms and the caller need not build a record; otherwise it is
+    ``None`` and the caller builds the record and calls the hook.
     """
+
+    invoked: Optional[Callable[..., None]]
+    accessed: Optional[Callable[..., None]]
 
     def __init__(self) -> None:
         self.listeners: List[ExecutionListener] = []
-        self._solo: Optional[ExecutionListener] = None
+        self._bind()
 
     def add(self, listener: ExecutionListener) -> None:
         self.listeners.append(listener)
-        self._solo = listener if len(self.listeners) == 1 else None
+        self._bind()
 
     def remove(self, listener: ExecutionListener) -> None:
         self.listeners.remove(listener)
-        self._solo = self.listeners[0] if len(self.listeners) == 1 else None
+        self._bind()
 
-    def on_alloc(self, obj: JObject, site: str) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_alloc(obj, site)
-            return
-        for listener in self.listeners:
-            listener.on_alloc(obj, site)
+    def _bind(self) -> None:
+        for hook in HOOKS:
+            setattr(self, hook, _dispatcher([
+                getattr(listener, hook) for listener in self.listeners
+                if _overrides(listener, hook)
+            ]))
+        self.invoked = self._record_free("on_invoke", "invoked")
+        self.accessed = self._record_free("on_access", "accessed")
 
-    def on_free(self, obj: JObject) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_free(obj)
-            return
+    def _record_free(self, hook: str, form: str) -> Optional[Callable]:
+        handlers = []
         for listener in self.listeners:
-            listener.on_free(obj)
-
-    def on_invoke(self, record: InvokeRecord) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_invoke(record)
-            return
-        for listener in self.listeners:
-            listener.on_invoke(record)
-
-    def on_invoke_enter(self, callee_class: str, method: MethodDef, site: str) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_invoke_enter(callee_class, method, site)
-            return
-        for listener in self.listeners:
-            listener.on_invoke_enter(callee_class, method, site)
-
-    def on_access(self, record: AccessRecord) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_access(record)
-            return
-        for listener in self.listeners:
-            listener.on_access(record)
-
-    def on_cpu(self, class_name: str, site: str, seconds: float) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_cpu(class_name, site, seconds)
-            return
-        for listener in self.listeners:
-            listener.on_cpu(class_name, site, seconds)
-
-    def on_gc_report(self, report: GCReport, site: str) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_gc_report(report, site)
-            return
-        for listener in self.listeners:
-            listener.on_gc_report(report, site)
-
-    def on_offload(self, class_names: List[str], nbytes: int, site_from: str,
-                   site_to: str) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_offload(class_names, nbytes, site_from, site_to)
-            return
-        for listener in self.listeners:
-            listener.on_offload(class_names, nbytes, site_from, site_to)
+            if _overrides(listener, hook):
+                handler = getattr(listener, form, None)
+                if handler is None:
+                    return None
+                handlers.append(handler)
+        return _dispatcher(handlers)

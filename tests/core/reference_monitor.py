@@ -1,0 +1,217 @@
+"""The per-event execution monitor: the live monitoring parity oracle.
+
+:class:`ReferenceExecutionMonitor` is the straightforward reading of the
+monitoring module: every invocation, access, CPU charge, allocation and
+free becomes one call on the graph's public entry points
+(``record_interaction``, ``add_cpu``, ``add_memory``, ...), each of
+which bumps the version and marks its node or edge dirty at once.  The
+shipped :class:`~repro.core.monitor.ExecutionMonitor` records through
+the shared, segment-deferred :class:`~repro.core.recorder.GraphRecorder`
+instead; ``tests/core/test_monitor_parity.py`` runs live platforms with
+each and demands identical reports, counters, graphs and drained
+deltas.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Optional, Set
+
+from repro.core.graph import ExecutionGraph, GraphDelta, object_node_id
+from repro.core.monitor import (
+    EDGE_STORAGE_BYTES,
+    NODE_STORAGE_BYTES,
+    MonitorCounters,
+    RemoteCounters,
+    SampledSeries,
+)
+from repro.vm.gc import GCReport
+from repro.vm.hooks import AccessRecord, ExecutionListener, InvokeRecord
+from repro.vm.objectmodel import JObject
+
+
+class ReferenceExecutionMonitor(ExecutionListener):
+    """Builds the execution graph from hook events, one graph call per
+    event."""
+
+    def __init__(
+        self, object_granularity_classes: Optional[Set[str]] = None,
+        profile: Optional[ExecutionGraph] = None,
+    ) -> None:
+        # Warm start from previously gathered profiling information
+        # (paper section 8): seed the execution graph with a prior
+        # run's interaction history.  Callers should pass a profile
+        # produced by :func:`repro.core.hints.interaction_profile`, so
+        # stale live-memory numbers are not inherited.
+        self.graph = profile.copy() if profile is not None else ExecutionGraph()
+        self.counters = MonitorCounters()
+        self.remote = RemoteCounters()
+        #: Classes whose instances get their own graph node (the
+        #: section 5.2 "Array" enhancement uses this for primitive
+        #: arrays).
+        self.object_granularity_classes: Set[str] = set(
+            object_granularity_classes or ()
+        )
+        self._live_objects = 0
+        self._live_classes: Dict[str, int] = {}
+        self.classes_series = SampledSeries()
+        self.objects_series = SampledSeries()
+        self.links_series = SampledSeries()
+        self.last_gc_report: Optional[GCReport] = None
+        # Copy-on-write snapshot state: the last snapshot taken, the
+        # graph version it reflects, and the delta that separated it
+        # from the snapshot before (consumed by incremental
+        # partitioning sessions).
+        self._snapshot: Optional[ExecutionGraph] = None
+        self._snapshot_version: int = -1
+        self.last_snapshot_delta: Optional[GraphDelta] = None
+
+    def merge_profile(self, profile: ExecutionGraph) -> None:
+        """Fold a predicted or prior interaction profile into the graph.
+
+        The cold-start path (:meth:`repro.core.engine.OffloadingEngine
+        .apply_cold_start`) uses this to seed an already-constructed
+        monitor: edge traffic and CPU totals are added, live-memory
+        annotations in the profile are ignored (callers should pass
+        :func:`repro.core.hints.interaction_profile` output, where they
+        are zero).  Every touched node and edge lands in the graph's
+        dirty sets, so the next snapshot carries the seed into the
+        partitioning session.
+        """
+        for node_id in profile.nodes():
+            stats = profile.node(node_id)
+            self.graph.ensure_node(node_id)
+            if stats.cpu_seconds:
+                self.graph.add_cpu(node_id, stats.cpu_seconds)
+        for (a, b), edge in profile.edges():
+            self.graph.record_interaction(a, b, edge.bytes,
+                                          count=edge.count)
+
+    # -- node naming -----------------------------------------------------------
+
+    def node_for(self, class_name: str, oid: Optional[int]) -> str:
+        if oid is not None and class_name in self.object_granularity_classes:
+            return object_node_id(class_name, oid)
+        return class_name
+
+    # -- hook implementations -----------------------------------------------------
+
+    def on_alloc(self, obj: JObject, site: str) -> None:
+        node = self.node_for(obj.class_name, obj.oid)
+        self.graph.add_memory(node, obj.size_bytes)
+        self.graph.note_object_created(node)
+        self.counters.objects_created += 1
+        self.counters.allocations_bytes += obj.size_bytes
+        self._live_objects += 1
+        self._live_classes[obj.class_name] = (
+            self._live_classes.get(obj.class_name, 0) + 1
+        )
+
+    def on_free(self, obj: JObject) -> None:
+        node = self.node_for(obj.class_name, obj.oid)
+        # A missing node (e.g. a warm-start profile that never saw this
+        # class allocate) only skips the graph update; the aggregate
+        # counters must stay consistent with the event stream.
+        if self.graph.has_node(node):
+            self.graph.add_memory(node, -obj.size_bytes)
+            self.graph.note_object_freed(node)
+        self.counters.objects_freed += 1
+        if self._live_objects > 0:
+            self._live_objects -= 1
+        remaining = self._live_classes.get(obj.class_name, 0) - 1
+        if remaining <= 0:
+            self._live_classes.pop(obj.class_name, None)
+        else:
+            self._live_classes[obj.class_name] = remaining
+
+    def on_invoke(self, record: InvokeRecord) -> None:
+        caller = self.node_for(record.caller_class, record.caller_oid)
+        callee = self.node_for(record.callee_class, record.callee_oid)
+        nbytes = record.arg_bytes + record.ret_bytes
+        self.graph.record_interaction(caller, callee, nbytes)
+        self.counters.invocation_events += 1
+        if record.remote:
+            self.remote.remote_invocations += 1
+            self.remote.remote_bytes += nbytes
+            if record.is_native:
+                self.remote.remote_native_invocations += 1
+
+    def on_access(self, record: AccessRecord) -> None:
+        accessor = self.node_for(record.accessor_class, record.accessor_oid)
+        owner = self.node_for(record.owner_class, record.owner_oid)
+        self.graph.record_interaction(accessor, owner, record.value_bytes)
+        self.counters.access_events += 1
+        if record.remote:
+            if record.cached:
+                self.remote.cached_reads += 1
+            else:
+                self.remote.remote_accesses += 1
+                self.remote.remote_bytes += record.value_bytes
+
+    def on_cpu(self, class_name: str, site: str, seconds: float) -> None:
+        self.graph.add_cpu(class_name, seconds)
+
+    def on_gc_report(self, report: GCReport, site: str) -> None:
+        self.last_gc_report = report
+        self.classes_series.observe(len(self._live_classes))
+        self.objects_series.observe(self._live_objects)
+        self.links_series.observe(self.graph.link_count)
+
+    # -- derived metrics ----------------------------------------------------------
+
+    @property
+    def live_objects(self) -> int:
+        return self._live_objects
+
+    @property
+    def live_classes(self) -> int:
+        return len(self._live_classes)
+
+    def graph_storage_bytes(self) -> int:
+        """Approximate in-memory footprint of the execution graph."""
+        return (
+            self.graph.node_count * NODE_STORAGE_BYTES
+            + self.graph.link_count * EDGE_STORAGE_BYTES
+        )
+
+    def snapshot(self) -> ExecutionGraph:
+        """Copy of the execution graph for a partitioning decision.
+
+        Snapshots are copy-on-write: the first call structurally copies
+        the graph, later calls reuse the unchanged node stats, edge
+        stats, and whole adjacency rows of the previous snapshot and
+        copy only the rows the graph dirtied in between.  When nothing
+        changed at all the same snapshot object is returned again.
+        Snapshots are read-only by contract; the delta between the two
+        most recent snapshots is left in :attr:`last_snapshot_delta`
+        for incremental partitioning sessions.
+
+        The monitor is the graph's single dirty-set consumer: code that
+        drains ``monitor.graph`` directly must not also use
+        :meth:`snapshot`.
+
+        Unchanged-snapshot reuse matters downstream: returning the same
+        object (same identity, same ``version``) lets the partitioner's
+        flat CSR snapshot cache (``core.flatgraph.snapshot``) skip
+        recompiling, and lets an incremental session hand the delta
+        straight to ``FlatGraph.sync`` instead of diffing graphs.
+        """
+        graph = self.graph
+        delta = graph.drain_dirty()
+        if self._snapshot is not None and delta.empty:
+            self.last_snapshot_delta = delta
+            return self._snapshot
+        if self._snapshot is None:
+            snap = graph.copy()
+            # The baseline snapshot covers the whole graph; report the
+            # delta as such so a session cold-starts from it.
+            delta = GraphDelta(
+                nodes=frozenset(graph.nodes()),
+                edges=frozenset(key for key, _ in graph.edges()),
+                version=graph.version,
+            )
+        else:
+            snap = graph.copy_reusing(self._snapshot, delta)
+        self._snapshot = snap
+        self._snapshot_version = graph.version
+        self.last_snapshot_delta = delta
+        return snap

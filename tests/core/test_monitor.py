@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.core.graph import edge_key
 from repro.core.monitor import ExecutionMonitor, ResourceMonitor
 from repro.vm.gc import GCReport
 from repro.vm.hooks import AccessRecord, InvokeRecord
 from repro.vm.objectmodel import ClassBuilder, ClassDef, JArray, JObject
+
+from tests.core.reference_monitor import ReferenceExecutionMonitor
 
 
 def make_obj(class_name="t.A"):
@@ -199,6 +202,61 @@ class TestObjectGranularity:
         monitor.on_invoke(invoke_record())
         assert snap.edge("t.A", "t.B").count == 1
         assert monitor.graph.edge("t.A", "t.B").count == 2
+
+
+class TestSegmentFlush:
+    """Events are reported dirty wherever the graph is read."""
+
+    @staticmethod
+    def snapshot_deltas(monitor):
+        obj = make_obj("t.A")
+        deltas = []
+
+        def snapshot():
+            monitor.snapshot()
+            delta = monitor.last_snapshot_delta
+            deltas.append((delta.nodes, delta.edges))
+
+        monitor.on_alloc(obj, "client")
+        monitor.on_invoke(invoke_record())
+        snapshot()
+        monitor.on_access(access_record(owner="t.C", nbytes=4))
+        monitor.on_invoke(invoke_record(arg_bytes=1))
+        monitor.on_cpu("t.B", "client", 0.25)
+        snapshot()
+        monitor.on_free(obj)
+        monitor.on_cpu("t.B", "client", 0.5)
+        snapshot()
+        snapshot()
+        return deltas
+
+    def test_snapshot_deltas_match_per_event_recording(self):
+        deltas = self.snapshot_deltas(ExecutionMonitor())
+        assert deltas == self.snapshot_deltas(ReferenceExecutionMonitor())
+        assert deltas[1] == (frozenset({"t.B", "t.C"}),
+                             frozenset({("t.A", "t.B"), ("t.A", "t.C")}))
+        assert deltas[3] == (frozenset(), frozenset())
+
+    def test_reading_the_graph_reports_the_segment(self):
+        monitor = ExecutionMonitor()
+        monitor.on_invoke(invoke_record())
+        monitor.graph.drain_dirty()
+        monitor.on_invoke(invoke_record())
+        monitor.on_cpu("t.A", "client", 0.5)
+        delta = monitor.graph.drain_dirty()
+        assert delta.edges == {edge_key("t.A", "t.B")}
+        assert delta.nodes == {"t.A"}
+
+    def test_gc_report_reports_the_segment(self):
+        monitor = ExecutionMonitor()
+        monitor.on_invoke(invoke_record())
+        monitor.graph.drain_dirty()
+        version = monitor.graph.version
+        monitor.on_access(access_record())
+        monitor.on_gc_report(gc_report(), "client")
+        # Read past the flushing property: the report itself flushed.
+        assert monitor._graph.version > version
+        assert monitor._graph.drain_dirty().edges == {("t.A", "t.B")}
 
 
 class TestResourceMonitor:

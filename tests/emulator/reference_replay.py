@@ -8,9 +8,11 @@ replays a configuration through both and demands bit-identical
 fingerprints.  Cold paths (GC cycles, partitioning, migration,
 recovery, mobility) are the shipped replayer's own, inherited here
 unchanged — except graph recording: the reference buffers runs under
-string node pairs and records every run, WORK event and allocation
-through the graph's public entry points, so the oracle shares nothing
-with the shipped loop's interned, segment-deferred recording.
+string node pairs and records every run, WORK event, allocation and
+free through the graph's public entry points (its
+:class:`PublicEntryRecorder` stands in for the shipped
+:class:`~repro.core.recorder.GraphRecorder`), so the oracle shares
+nothing with the shipped loop's interned, segment-deferred recording.
 """
 
 from __future__ import annotations
@@ -34,14 +36,55 @@ from repro.emulator.timemodel import remote_access_cost, remote_invoke_cost
 from repro.rpc.cache import RemoteReadCache
 
 
+class PublicEntryRecorder:
+    """The graph writer the shipped replayer's cold paths call
+    (``flush``, ``free``), plus the reference's buffered interactions,
+    all through the graph's public entry points."""
+
+    def __init__(self, graph, node_for) -> None:
+        self.graph = graph
+        self._node_for = node_for
+        self._pending_edge: Optional[Tuple[str, str]] = None
+        self._pending_edge_bytes = 0
+        self._pending_edge_count = 0
+
+    def flush(self) -> None:
+        pair = self._pending_edge
+        if pair is not None:
+            self.graph.record_interaction(
+                pair[0], pair[1], self._pending_edge_bytes,
+                count=self._pending_edge_count,
+            )
+            self._pending_edge = None
+            self._pending_edge_bytes = 0
+            self._pending_edge_count = 0
+
+    def record_interaction(self, a: str, b: str, nbytes: int) -> None:
+        if a == b:
+            return
+        pair = (a, b) if a <= b else (b, a)
+        if pair == self._pending_edge:
+            self._pending_edge_bytes += nbytes
+            self._pending_edge_count += 1
+            return
+        self.flush()
+        self._pending_edge = pair
+        self._pending_edge_bytes = nbytes
+        self._pending_edge_count = 1
+
+    def free(self, class_name: str, oid: int, size: int) -> None:
+        node = self._node_for(class_name, oid)
+        if self.graph.has_node(node):
+            self.graph.add_memory(node, -size)
+            self.graph.note_object_freed(node)
+
+
 class ReferenceReplayer(TraceReplayer):
     """Replays a trace through the per-event handler loop."""
 
     def __init__(self, trace, config) -> None:
         super().__init__(trace, config)
-        self._pending_edge: Optional[Tuple[str, str]] = None
-        self._pending_edge_bytes = 0
-        self._pending_edge_count = 0
+        self._recorder = PublicEntryRecorder(self.graph, self._node_for)
 
     def run(self) -> EmulationResult:
         handlers = {
@@ -93,30 +136,6 @@ class ReferenceReplayer(TraceReplayer):
             if site is not None:
                 return site
         return self._class_site(class_name)
-
-    def _flush_interactions(self) -> None:
-        pair = self._pending_edge
-        if pair is not None:
-            self.graph.record_interaction(
-                pair[0], pair[1], self._pending_edge_bytes,
-                count=self._pending_edge_count,
-            )
-            self._pending_edge = None
-            self._pending_edge_bytes = 0
-            self._pending_edge_count = 0
-
-    def _record_interaction(self, a: str, b: str, nbytes: int) -> None:
-        if a == b:
-            return
-        pair = (a, b) if a <= b else (b, a)
-        if pair == self._pending_edge:
-            self._pending_edge_bytes += nbytes
-            self._pending_edge_count += 1
-            return
-        self._flush_interactions()
-        self._pending_edge = pair
-        self._pending_edge_bytes = nbytes
-        self._pending_edge_count = 1
 
     def _charge_cpu(self, site: str, reference_seconds: float) -> None:
         if site == CLIENT:
@@ -239,7 +258,7 @@ class ReferenceReplayer(TraceReplayer):
                 self.result.remote_native_invocations += 1
         caller_node = self._node_for(event.caller_class, event.caller_oid)
         callee_node = self._node_for(event.callee_class, event.callee_oid)
-        self._record_interaction(caller_node, callee_node, nbytes)
+        self._recorder.record_interaction(caller_node, callee_node, nbytes)
         self._charge_monitoring(exec_site)
 
     def _replay_access(self, event: AccessEvent) -> None:
@@ -295,7 +314,8 @@ class ReferenceReplayer(TraceReplayer):
         accessor_node = self._node_for(event.accessor_class,
                                        event.accessor_oid)
         owner_node = self._node_for(event.owner_class, event.owner_oid)
-        self._record_interaction(accessor_node, owner_node, event.nbytes)
+        self._recorder.record_interaction(accessor_node, owner_node,
+                                          event.nbytes)
         self._charge_monitoring(owner_site)
 
     def _replay_work(self, event: WorkEvent) -> None:

@@ -8,6 +8,10 @@ through the graph's public entry points.  After a replay the two
 graphs must hold the same nodes and edges in the same insertion order
 with exactly equal values, and every partition epoch must have drained
 the same dirty nodes and edges.
+
+The live monitor writes through the same recorder, so a live prototype
+run and the replay of its own recorded trace must agree on the
+interaction structure and CPU profile too.
 """
 
 import dataclasses
@@ -15,9 +19,11 @@ import dataclasses
 import pytest
 
 from repro.config import EnhancementFlags
+from repro.emulator import record_application
 from repro.emulator.events import InvokeEvent, WorkEvent
-from repro.emulator.replay import TraceReplayer
+from repro.emulator.replay import MAIN, TraceReplayer
 from repro.errors import PartitioningError
+from repro.experiments.common import memory_emulator_config
 
 from tests.emulator.reference_replay import ReferenceReplayer
 from tests.emulator.test_fault_parity import (
@@ -27,6 +33,7 @@ from tests.emulator.test_fault_parity import (
     trace_for,
 )
 from tests.emulator.test_replay import config, make_trace
+from tests.helpers import perfbench_workloads
 
 #: Fault-parity scenarios, one of each kind, plus clean replays.
 FAULT_SCENARIOS = ["loss", "crash-time", "long-partition", "roam-handoff"]
@@ -126,3 +133,33 @@ class TestNegativeWork:
         ])
         with pytest.raises(PartitioningError):
             replayer(trace, config()).run()
+
+
+@pytest.mark.parametrize("app_name", ["dia", "javanote", "biomer"])
+def test_live_graph_matches_the_replayed_trace(app_name):
+    """A live prototype run's graph against the replayed graph of the
+    trace recorded from the same app (the benchmark's seed-1 apps and
+    its 6 MB section 5.1 platform; the 5.1 emulator configuration)."""
+    workloads = perfbench_workloads()
+    factory = workloads.app_factories(1)[app_name]
+    platform = workloads.live_platform()
+    platform.run(factory())
+    live = platform.monitor.graph
+    replayer = TraceReplayer(record_application(factory()),
+                             memory_emulator_config())
+    replayer.run()
+    replayed = replayer.graph
+    # Interactions and CPU are placement-independent, so they must
+    # agree exactly.  Memory and the live/created object columns are
+    # left out: they follow GC timing, and a live two-heap run
+    # collects on different events than the replay's emulated
+    # collector does.
+    assert [(key, edge.count, edge.bytes) for key, edge in live.edges()] \
+        == [(key, edge.count, edge.bytes) for key, edge in replayed.edges()]
+    # The replayer creates <main> first; elsewhere node order agrees.
+    assert [n for n in live.nodes() if n != MAIN] \
+        == [n for n in replayed.nodes() if n != MAIN]
+    assert set(live.nodes()) == set(replayed.nodes())
+    assert {n: s.cpu_seconds for n, s in live.node_items()} \
+        == {n: s.cpu_seconds for n, s in replayed.node_items()}
+    assert live.link_count > 10

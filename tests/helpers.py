@@ -1,5 +1,9 @@
 """Shared test fixtures: small platforms and guest classes."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from repro.config import (
     DeviceProfile,
     EnhancementFlags,
@@ -105,3 +109,17 @@ def define_worker_classes(registry):
         .field("store") \
         .method("process", func=process, cpu_cost=1e-6) \
         .register()
+
+
+def perfbench_workloads():
+    """The benchmark's workload module (``perfbench/workloads.py``), so
+    tests can run exactly the benchmark's cases."""
+    name = "perfbench_workloads"
+    module = sys.modules.get(name)
+    if module is None:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module

@@ -124,6 +124,73 @@ class TestHookFanout:
         assert second.calls == [("cpu", "t.A", 1.0), ("cpu", "t.B", 2.0)]
 
 
+class CpuOnly(ExecutionListener):
+    def __init__(self):
+        self.seconds = []
+
+    def on_cpu(self, class_name, site, seconds):
+        self.seconds.append(seconds)
+
+
+class RecordFree(ExecutionListener):
+    """Takes invocations and accesses with or without a record."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_invoke(self, record):
+        self.invoked(record.caller_class, record.caller_oid,
+                     record.callee_class, record.callee_oid,
+                     record.arg_bytes + record.ret_bytes, record.remote,
+                     record.is_native)
+
+    def invoked(self, *fields):
+        self.calls.append(("invoke",) + fields)
+
+    def on_access(self, record):
+        self.accessed(record.accessor_class, record.accessor_oid,
+                      record.owner_class, record.owner_oid,
+                      record.value_bytes, record.remote, record.cached)
+
+    def accessed(self, *fields):
+        self.calls.append(("access",) + fields)
+
+
+class TestPerHookBinding:
+    def test_hooks_reach_only_listeners_that_override_them(self):
+        fanout = HookFanout()
+        cpu = CpuOnly()
+        fanout.add(ExecutionListener())
+        fanout.add(cpu)
+        assert fanout.on_cpu == cpu.on_cpu
+        fanout.on_cpu("t.A", "client", 0.5)
+        fanout.on_invoke(sample_invoke())  # nobody listens: a no-op
+        assert cpu.seconds == [0.5]
+
+    def test_record_free_forms_need_every_consumer_to_offer_them(self):
+        fanout = HookFanout()
+        assert fanout.accessed is not None  # nobody consumes accesses
+        first, second = RecordFree(), RecordFree()
+        fanout.add(first)
+        fanout.add(CpuOnly())  # consumes neither hook
+        assert fanout.accessed == first.accessed
+        assert fanout.invoked == first.invoked
+        fanout.add(second)
+        fanout.accessed("a", None, "b", 7, 8, True, False)
+        assert first.calls == second.calls == [
+            ("access", "a", None, "b", 7, 8, True, False)]
+        recorder = Recorder()
+        fanout.add(recorder)  # needs records
+        assert fanout.accessed is None
+        assert fanout.invoked is None
+        fanout.on_access(sample_access())
+        assert recorder.calls == [("access", "f")]
+        assert second.calls[-1] == ("access", "a", None, "b", None, 8,
+                                    False, False)
+        fanout.remove(recorder)
+        assert fanout.accessed is not None
+
+
 class TestSlottedRecords:
     def test_records_have_no_instance_dict(self):
         assert not hasattr(sample_invoke(), "__dict__")

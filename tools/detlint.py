@@ -56,6 +56,8 @@ DEFAULT_TARGETS = (
     "src/repro/core/flatgraph.py",
     "src/repro/core/partitioner.py",
     "src/repro/core/reaction.py",
+    "src/repro/core/recorder.py",
+    "src/repro/core/monitor.py",
     "src/repro/net/mobility.py",
     "src/repro/platform/platform.py",
     "src/repro/platform/migration.py",
